@@ -19,12 +19,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, InstabilityError, UndersamplingWarning
+from .errors import (
+    DomainError,
+    InstabilityError,
+    UndersamplingWarning,
+    _require_k,
+    _require_real,
+)
 from .spectral import (
-    FREQUENCY,
     PHYSICAL,
     Field,
     Grid,
+    _map_spectrum,
     dealiased_modulus_power,
     read_field,
     write_field,
@@ -47,12 +53,6 @@ __all__ = [
 _GROWTH_LIMIT = 1.0e6
 _TAIL_WARN_FRACTION = 1.0e-4
 _TAIL_BAND_START = 2.0 / 3.0
-
-
-def _require_k(k) -> int:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise DomainError(f"k must be a positive integer, got {k!r}")
-    return k
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,12 +78,8 @@ class EvolutionParams:
         if self.dim == 3 and self.k != 1:
             raise DomainError("three dimensional runs support the cubic case only")
         for name in ("dt", "t_final"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise DomainError(f"{name} must be a positive number, got {value!r}")
-            if not math.isfinite(value) or value <= 0:
-                raise DomainError(f"{name} must be positive and finite, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            value = _require_real(name, getattr(self, name), positive=True)
+            object.__setattr__(self, name, value)
         every = self.sample_every
         if not isinstance(every, int) or isinstance(every, bool) or every < 1:
             raise DomainError(f"sample_every must be a positive integer, got {every!r}")
@@ -163,11 +159,8 @@ def linear_flow(f: Field, t: float) -> Field:
     Exact on the grid: every spectral value picks up the unit phase
     exp(-i t |xi|^2).  The representation of the input is preserved.
     """
-    if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t):
-        raise DomainError(f"time must be a finite number, got {t!r}")
-    spec = f.as_frequency()
-    out = Field(f.grid, spec.samples * _quadratic_phase(f.grid, float(t)), FREQUENCY)
-    return out if f.rep == FREQUENCY else out.as_physical()
+    phase = _quadratic_phase(f.grid, _require_real("time", t))
+    return _map_spectrum(f, lambda spec: spec * phase)
 
 
 def nonlinear_phase(f: Field, dt: float, k: int, dealias: bool = True) -> Field:
@@ -178,15 +171,14 @@ def nonlinear_phase(f: Field, dt: float, k: int, dealias: bool = True) -> Field:
     itself is pointwise either way, so the modulus of every sample, and
     with it the mass, is untouched.
     """
-    if isinstance(dt, bool) or not isinstance(dt, (int, float)) or not math.isfinite(dt):
-        raise DomainError(f"dt must be a finite number, got {dt!r}")
+    dt = _require_real("dt", dt)
     _require_k(k)
     u = f.as_physical()
     if dealias:
         w = dealiased_modulus_power(u, 2 * k).samples.real
     else:
         w = np.abs(u.samples) ** (2 * k)
-    return Field(u.grid, u.samples * np.exp(-1j * float(dt) * w), PHYSICAL)
+    return Field(u.grid, u.samples * np.exp(-1j * dt * w), PHYSICAL)
 
 
 def strang_step(f: Field, params: EvolutionParams) -> Field:

@@ -28,9 +28,11 @@ from .errors import (
     DomainError,
     ResolutionError,
     UndersamplingWarning,
+    _require_k,
+    _require_real,
 )
 from .multipliers import apply_symbol, i_operator_symbol
-from .norms import DiagnosticSeries, lebesgue_norm, sobolev_norm
+from .norms import DiagnosticSeries, _sample_list, lebesgue_norm, sobolev_norm
 from .spectral import PHYSICAL, Field, Grid, dealiased_power
 
 __all__ = [
@@ -50,12 +52,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-
-def _require_k(k: int) -> int:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise DomainError(f"k must be a positive integer, got {k!r}")
-    return k
 
 
 def critical_exponent(dim: int, k: int) -> float:
@@ -85,18 +81,13 @@ class IMethodConfig:
 
     def __post_init__(self) -> None:
         s_c = critical_exponent(self.dim, self.k)
-        if isinstance(self.N, bool) or not isinstance(self.N, (int, float)):
-            raise DomainError(f"N must be a positive number, got {self.N!r}")
-        if not math.isfinite(self.N) or self.N <= 0:
-            raise DomainError(f"N must be positive and finite, got {self.N!r}")
-        if isinstance(self.s, bool) or not isinstance(self.s, (int, float)):
-            raise DomainError(f"s must be a number, got {self.s!r}")
-        if not s_c < self.s < 1.0:
+        object.__setattr__(self, "N", _require_real("N", self.N, positive=True))
+        s = _require_real("s", self.s)
+        if not s_c < s < 1.0:
             raise DomainError(
                 f"s must lie in ({s_c}, 1) for dim={self.dim}, k={self.k}, got {self.s!r}"
             )
-        object.__setattr__(self, "N", float(self.N))
-        object.__setattr__(self, "s", float(self.s))
+        object.__setattr__(self, "s", s)
 
     @property
     def critical(self) -> float:
@@ -121,13 +112,6 @@ def modified_energy(f: Field, cfg: IMethodConfig) -> float:
     return energy(smoothed, cfg.k)
 
 
-def _is_power_of_two(x: float) -> bool:
-    if not math.isfinite(x) or x <= 0:
-        return False
-    mantissa, _ = math.frexp(x)
-    return mantissa == 0.5
-
-
 def rescale(f: Field, lam: float, k: int) -> Field:
     """Dilate a field, u_lam(x) = lam^alpha u(lam x), exactly on the lattice.
 
@@ -137,14 +121,13 @@ def rescale(f: Field, lam: float, k: int) -> Field:
     scale by a clean power of lam.  Only powers of two are accepted so
     that the adjusted box extent stays exact in floating point.
     """
-    if isinstance(lam, bool) or not isinstance(lam, (int, float)):
-        raise DomainError(f"lam must be a positive number, got {lam!r}")
-    if not _is_power_of_two(float(lam)):
+    lam = _require_real("lam", lam, positive=True)
+    if math.frexp(lam)[0] != 0.5:
         raise DomainError(f"lam must be a power of two, got {lam!r}")
     g = f.grid
     alpha = 1.0 if g.dim == 3 else 1.0 / _require_k(k)
-    scaled_grid = Grid(g.dim, g.extent / float(lam), g.points)
-    samples = float(lam) ** alpha * f.as_physical().samples
+    scaled_grid = Grid(g.dim, g.extent / lam, g.points)
+    samples = lam**alpha * f.as_physical().samples
     return Field(scaled_grid, samples, PHYSICAL)
 
 
@@ -174,8 +157,7 @@ def choose_lambda(
     N^((s-1)/(s-s_c)) that scaling heuristics predict.
     """
     _check_dim(f, cfg)
-    if not (isinstance(threshold, (int, float)) and threshold > 0):
-        raise DomainError(f"threshold must be positive, got {threshold!r}")
+    _require_real("threshold", threshold, positive=True)
     lam = 1.0
     for _ in range(max_halvings + 1):
         scaled = rescale(f, lam, cfg.k)
@@ -261,14 +243,6 @@ def vanishing_constant(k: int) -> float:
     return 0.125 if k == 1 else 1.0 / (2 * k + 2)
 
 
-def _sample_pairs(traj) -> list:
-    pairs = list(getattr(traj, "samples", traj))
-    for t, f in pairs:
-        if not isinstance(f, Field):
-            raise DomainError("trajectory samples must be (time, Field) pairs")
-    return pairs
-
-
 @dataclasses.dataclass(frozen=True)
 class IncrementLedger:
     """Sampled E(Iu) values with their summed jumps.
@@ -298,7 +272,7 @@ def increment_ledger(traj, cfg: IMethodConfig) -> IncrementLedger:
     disagreement of five percent or more raises an undersampling
     warning.
     """
-    pairs = _sample_pairs(traj)
+    pairs = _sample_list(traj)
     if len(pairs) < 2:
         raise DomainError("an increment ledger needs at least two samples")
     _check_dim(pairs[0][1], cfg)
@@ -334,9 +308,8 @@ def interval_partition(traj, eta: float) -> tuple:
     overshoots, no admissible partition exists at this resolution and an
     atomic-interval error is raised.
     """
-    if isinstance(eta, bool) or not isinstance(eta, (int, float)) or not eta > 0:
-        raise DomainError(f"eta must be positive, got {eta!r}")
-    pairs = _sample_pairs(traj)
+    _require_real("eta", eta, positive=True)
+    pairs = _sample_list(traj)
     if len(pairs) < 2:
         raise DomainError("a partition needs at least two samples")
     dim = pairs[0][1].grid.dim
@@ -374,7 +347,7 @@ def scattering_diagnostic(traj, s: float) -> DiagnosticSeries:
     The series holds |v(t_i) - v(t_{i-1})|_{H^s} at the later time of
     each pair, with v the pullback.
     """
-    pairs = _sample_pairs(traj)
+    pairs = _sample_list(traj)
     if len(pairs) < 2:
         raise DomainError("a scattering diagnostic needs at least two samples")
     pullbacks = [linear_flow(f, -t) for t, f in pairs]

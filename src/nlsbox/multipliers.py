@@ -18,8 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ResolutionError
-from .spectral import FREQUENCY, Field, Grid
+from .errors import DomainError, ResolutionError, _require_real
+from .spectral import Field, Grid, _map_spectrum
 
 __all__ = [
     "RadialSymbol",
@@ -113,9 +113,7 @@ def apply_symbol(f: Field, symbol: RadialSymbol) -> Field:
     values = symbol(grid.freq_radius())
     if not np.all(np.isfinite(values)):
         raise DomainError(f"symbol {symbol.label!r} is not finite on the lattice")
-    spec = f.as_frequency()
-    out = Field(grid, values * spec.samples, FREQUENCY)
-    return out if f.rep == FREQUENCY else out.as_physical()
+    return _map_spectrum(f, lambda spec: values * spec)
 
 
 @dataclass(frozen=True)
@@ -159,29 +157,25 @@ def lp_project(f: Field, bank: ProjectionBank, j: int) -> Field:
     return apply_symbol(f, bank.symbol(j))
 
 
-def _sharp_cutoff_symbol(lam: float, keep_low: bool, grid: Grid) -> np.ndarray:
+def _sharp_pass(f: Field, lam: float, keep_low: bool) -> Field:
+    grid = f.grid
     if not 0.0 < lam < grid.nyquist:
         raise ResolutionError(
             f"cutoff {lam:.4g} must lie in (0, Nyquist={grid.nyquist:.4g})"
         )
-    mask = grid.freq_radius() <= lam
-    return mask if keep_low else ~mask
+    low = grid.freq_radius() <= lam
+    mask = low if keep_low else ~low
+    return _map_spectrum(f, lambda spec: np.where(mask, spec, 0.0))
 
 
 def low_pass(f: Field, lam: float) -> Field:
     """Sharp restriction to ``|xi| <= lam``."""
-    mask = _sharp_cutoff_symbol(lam, True, f.grid)
-    spec = f.as_frequency()
-    out = Field(f.grid, np.where(mask, spec.samples, 0.0), FREQUENCY)
-    return out if f.rep == FREQUENCY else out.as_physical()
+    return _sharp_pass(f, lam, True)
 
 
 def high_pass(f: Field, lam: float) -> Field:
     """Sharp restriction to ``|xi| > lam``; complements :func:`low_pass` exactly."""
-    mask = _sharp_cutoff_symbol(lam, False, f.grid)
-    spec = f.as_frequency()
-    out = Field(f.grid, np.where(mask, spec.samples, 0.0), FREQUENCY)
-    return out if f.rep == FREQUENCY else out.as_physical()
+    return _sharp_pass(f, lam, False)
 
 
 def i_operator_symbol(N: float, s: float) -> RadialSymbol:
@@ -195,9 +189,8 @@ def i_operator_symbol(N: float, s: float) -> RadialSymbol:
     The symbol records ``cutoff = 2N`` so applications on grids that
     cannot see the decaying branch are rejected.
     """
-    if N <= 0.0:
-        raise DomainError(f"N must be positive, got {N}")
-    if not 0.0 < s < 1.0:
+    N = _require_real("N", N, positive=True)
+    if not 0.0 < _require_real("s", s) < 1.0:
         raise DomainError(f"s must lie in (0, 1), got {s}")
 
     def fn(r: np.ndarray) -> np.ndarray:

@@ -81,8 +81,11 @@ class MixedNormSpec:
 
 
 def _sample_list(traj) -> list[tuple[float, Field]]:
+    """``(time, Field)`` pairs of a trajectory or of a raw sample sequence."""
     samples = getattr(traj, "samples", traj)
     out = [(float(t), f) for t, f in samples]
+    if not all(isinstance(f, Field) for _, f in out):
+        raise DomainError("trajectory samples must be (time, Field) pairs")
     if any(t1 <= t0 for (t0, _), (t1, _) in zip(out, out[1:])):
         raise DomainError("trajectory samples must have strictly increasing times")
     return out

@@ -14,9 +14,16 @@ pairing Plancherel holds on the lattice and spectral values are samples
 of the continuum transform, so band embedding between grids over the
 same box is a plain value copy.
 
-Odd-power nonlinearities ``|f|^(degree-1) f`` are evaluated alias-free
-by zero padding each axis by the factor ``degree//2 + 1`` before the
-pointwise product and truncating back afterwards.
+Products are formed alias-free by one routine, the padding rule of
+Orszag (1971): zero pad the spectrum by ``degree//2 + 1`` per axis for
+``|f|^(degree-1) f`` (``power//2 + 1`` for ``|f|^power``), take the
+product pointwise on the padded lattice, and truncate back to the band
+``[-n/2, n/2)``.  The unpaired ``-n/2`` mode is carried one-sided: the
+padded grid holds it at ``-n/2`` only, and the truncation keeps the
+product's ``-n/2`` coefficient but drops its ``+n/2`` one.  The modulus
+power of a field that fills the ``-n/2`` planes thus has an imaginary
+part there beyond roundoff; the solver's nonlinear step keeps the real
+part only.
 """
 
 from __future__ import annotations
@@ -269,87 +276,90 @@ def _require_rep(f: Field, rep: str, what: str) -> None:
         raise RepresentationError(f"{what} expects a {rep} field, got {f.rep}")
 
 
+def _forward_scale(g: Grid) -> float:
+    return (g.dx / math.sqrt(2.0 * math.pi)) ** g.dim
+
+
+def _inverse_scale(g: Grid) -> float:
+    return (math.sqrt(2.0 * math.pi) / g.dx) ** g.dim
+
+
 def forward_transform(f: Field) -> Field:
     """Physical samples to frequency samples of the continuum transform."""
     _require_rep(f, PHYSICAL, "forward_transform")
     g = f.grid
-    scale = (g.dx / math.sqrt(2.0 * math.pi)) ** g.dim
     spec = _checkerboard(g) * _fft.fftn(f.samples)
-    return Field(g, scale * spec, FREQUENCY)
+    return Field(g, _forward_scale(g) * spec, FREQUENCY)
 
 
 def inverse_transform(f: Field) -> Field:
     """Frequency samples back to physical samples; inverse of :func:`forward_transform`."""
     _require_rep(f, FREQUENCY, "inverse_transform")
     g = f.grid
-    scale = (math.sqrt(2.0 * math.pi) / g.dx) ** g.dim
     phys = _fft.ifftn(_checkerboard(g) * f.samples)
-    return Field(g, scale * phys, PHYSICAL)
+    return Field(g, _inverse_scale(g) * phys, PHYSICAL)
 
 
-def _embed_centered(spec: np.ndarray, n_from: int, n_to: int) -> np.ndarray:
-    """Copy an FFT-order spectrum into the central band of a larger grid."""
-    dim = spec.ndim
-    out = np.zeros((n_to,) * dim, dtype=np.complex128)
-    lo = (n_to - n_from) // 2
-    sl = tuple(slice(lo, lo + n_from) for _ in range(dim))
-    out[sl] = np.fft.fftshift(spec)
-    return np.fft.ifftshift(out)
+def _map_spectrum(f: Field, fn) -> Field:
+    """``fn`` applied to the spectrum of ``f``, handed back in the rep of ``f``."""
+    out = Field(f.grid, fn(f.as_frequency().samples), FREQUENCY)
+    return out if f.rep == FREQUENCY else out.as_physical()
 
 
-def _crop_centered(spec: np.ndarray, n_from: int, n_to: int) -> np.ndarray:
-    """Keep the central band ``[-n_to/2, n_to/2)`` of a larger FFT-order spectrum."""
-    dim = spec.ndim
-    lo = (n_from - n_to) // 2
-    sl = tuple(slice(lo, lo + n_to) for _ in range(dim))
-    return np.fft.ifftshift(np.fft.fftshift(spec)[sl])
+@lru_cache(maxsize=None)
+def _band_slots(points: int, padded_points: int) -> np.ndarray:
+    """Storage slots of the modes ``[-n/2, n/2)`` in a padded FFT-order axis."""
+    half = points // 2
+    return _readonly(np.r_[0:half, padded_points - half : padded_points])
 
 
-def _upsample(f: Field, factor: int) -> Field:
-    """Exact spectral interpolation of ``f`` onto the padded grid."""
-    spec = f.as_frequency()
-    fine = f.grid.padded(factor)
-    return inverse_transform(
-        Field(fine, _embed_centered(spec.samples, f.grid.points, fine.points), FREQUENCY)
-    )
+def _padded_product(f: Field, factor: int, pointwise) -> np.ndarray:
+    """Physical samples of ``pointwise(f)`` formed on the grid padded by
+    ``factor`` and truncated to the band of ``f``.
 
-
-def _band_limit_to(f_fine: Field, coarse: Grid) -> Field:
-    """Restrict a padded-grid field to the coarse frequency band."""
-    spec = forward_transform(f_fine)
-    return inverse_transform(
-        Field(coarse, _crop_centered(spec.samples, f_fine.grid.points, coarse.points), FREQUENCY)
-    )
+    The box-phase checkerboards of the two grids agree on every kept
+    mode, so they cancel and are never formed on the padded grid.
+    """
+    g = f.grid
+    fine = g.padded(factor)
+    band = np.ix_(*([_band_slots(g.points, fine.points)] * g.dim))
+    spec = np.zeros(fine.shape, dtype=np.complex128)
+    if f.is_physical:
+        spec[band] = _forward_scale(g) * _fft.fftn(f.samples)
+    else:
+        spec[band] = _checkerboard(g) * f.samples
+    u = _inverse_scale(fine) * _fft.ifftn(spec)
+    # Complex even for a real |u|^power, so the padded FFT rounds as the
+    # complex transform does; a real FFT would change the last bits.
+    w = np.asarray(pointwise(u), dtype=np.complex128)
+    prod = _forward_scale(fine) * _fft.fftn(w)[band]
+    return _inverse_scale(g) * _fft.ifftn(prod)
 
 
 def dealiased_power(f: Field, degree: int) -> Field:
     """Alias-free ``|f|^(degree-1) * f`` for odd ``degree >= 3``.
 
-    The input is spectrally interpolated onto a grid padded by
-    ``degree//2 + 1`` per axis, the power is taken pointwise there, and
-    the result is truncated back to the original band.  Within that band
-    the returned spectrum equals the exact polynomial product of the
-    band-limited input.
+    Within the band of ``f`` the returned spectrum equals the exact
+    polynomial product of the band-limited input.
     """
     if degree < 3 or degree % 2 == 0:
         raise DomainError(f"degree must be odd and >= 3, got {degree}")
-    fine = _upsample(f, degree // 2 + 1)
-    u = fine.samples
-    w = np.abs(u) ** (degree - 1) * u
-    out = _band_limit_to(Field(fine.grid, w, PHYSICAL), f.grid)
+    w = _padded_product(f, degree // 2 + 1, lambda u: np.abs(u) ** (degree - 1) * u)
+    out = Field(f.grid, w, PHYSICAL)
     return out if f.is_physical else forward_transform(out)
 
 
 def dealiased_modulus_power(f: Field, power: int) -> Field:
     """Alias-free real product ``|f|^power`` for even ``power >= 2``.
 
-    Returned as a physical field; the imaginary part is roundoff only.
+    Returned as a physical field.  The imaginary part is roundoff only
+    when the ``-n/2`` planes of ``f`` are empty; otherwise it carries the
+    unpaired Nyquist mode (see the module notes).
     """
     if power < 2 or power % 2:
         raise DomainError(f"power must be even and >= 2, got {power}")
-    fine = _upsample(f, power // 2 + 1)
-    w = np.abs(fine.samples) ** power
-    return _band_limit_to(Field(fine.grid, w, PHYSICAL), f.grid)
+    w = _padded_product(f, power // 2 + 1, lambda u: np.abs(u) ** power)
+    return Field(f.grid, w, PHYSICAL)
 
 
 @dataclass(frozen=True)

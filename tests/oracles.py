@@ -89,6 +89,24 @@ def odd_power_coefficients(f: Field, degree: int, band: int | None = None) -> np
     return out
 
 
+def modulus_power_coefficients(f: Field, power: int, band: int | None = None) -> np.ndarray:
+    """Exact coefficients of ``|f|^power`` (even ``power``) by repeated convolution.
+
+    The input cube carries the ``-n/2`` mode one-sided, as
+    :func:`fourier_coefficients` builds it, so the conjugate factors carry
+    it at ``+n/2``.
+    """
+    k = power // 2
+    cube = fourier_coefficients(f, band)
+    flipped = reflect_conj(cube)
+    out = flipped
+    for _ in range(k - 1):
+        out = convolve_cubes(out, flipped)
+    for _ in range(k):
+        out = convolve_cubes(out, cube)
+    return out
+
+
 def band_restrict(cube: np.ndarray, grid: Grid) -> np.ndarray:
     """Restrict symmetric-cube coefficients to the grid band, FFT order."""
     n, d = grid.points, grid.dim

@@ -195,6 +195,14 @@ class TestChooseLambda:
         with pytest.raises(ResolutionError):
             choose_lambda(f, cfg)
 
+    def test_threshold_validation(self):
+        grid = Grid(2, 16.0, 64)
+        f = gaussian(grid, 0.65, 1.5)
+        cfg = IMethodConfig(2.0, 0.75, 2, 2)
+        for bad in (True, 0.0, -0.5, float("nan"), float("inf"), 10**400):
+            with pytest.raises(DomainError):
+                choose_lambda(f, cfg, threshold=bad)
+
 
 def _oracle_commutator(f, cfg, band):
     """Smoothing defect by direct convolution on coefficient cubes."""
@@ -393,6 +401,14 @@ class TestIntervalPartition:
             interval_partition(traj, 0.0)
         with pytest.raises(DomainError):
             interval_partition(traj[:1], 1.0)
+
+    def test_raw_samples_must_increase(self):
+        grid = Grid(2, 16.0, 32)
+        traj = self._constant_traj(grid)
+        with pytest.raises(DomainError):
+            interval_partition(traj[:2] + traj[1:], 1.0)
+        with pytest.raises(DomainError):
+            interval_partition([(t, f.samples) for t, f in traj], 1.0)
 
 
 class TestScatteringDiagnostic:

@@ -194,6 +194,9 @@ class TestSmoothingSymbol:
     def test_validation(self):
         with pytest.raises(DomainError):
             i_operator_symbol(-1.0, 0.5)
+        for bad_n in (float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                i_operator_symbol(bad_n, 0.5)
         with pytest.raises(DomainError):
             i_operator_symbol(2.0, 1.0)
         with pytest.raises(DomainError):

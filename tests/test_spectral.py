@@ -25,9 +25,12 @@ from nlsbox import (
     write_field,
 )
 from oracles import (
+    band_restrict,
+    coefficients_to_spectrum,
     direct_forward,
     direct_inverse,
     direct_odd_power_spectrum,
+    modulus_power_coefficients,
     random_field,
 )
 
@@ -214,6 +217,18 @@ class TestDealiasedProducts:
                 dealiased_power(f, bad)
         with pytest.raises(DomainError):
             dealiased_modulus_power(f, 3)
+
+    @pytest.mark.parametrize("power", [2, 4])
+    @pytest.mark.parametrize("grid", [Grid(2, 16.0, 16), Grid(3, 8.0, 8)], ids=["2d", "3d"])
+    def test_modulus_power_full_band_matches_convolution_oracle(self, grid, power):
+        # Full band: the -n/2 planes are populated, which pins how the
+        # unpaired Nyquist mode enters the padded product.
+        f = random_field(grid, seed=90 + power + grid.dim)
+        impl = dealiased_modulus_power(f, power).as_frequency().samples
+        cube = modulus_power_coefficients(f, power)
+        oracle = coefficients_to_spectrum(band_restrict(cube, grid), grid)
+        scale = np.abs(oracle).max()
+        assert np.abs(impl - oracle).max() <= 1e-12 * scale
 
     def test_modulus_power_constant_mode(self):
         grid = Grid(2, 16.0, 16)
