@@ -26,11 +26,13 @@ from .errors import (
     _require_k,
     _require_real,
 )
+from .multipliers import _sobolev_symbol
 from .spectral import (
     PHYSICAL,
     Field,
     Grid,
     _map_spectrum,
+    _radial,
     dealiased_modulus_power,
     read_field,
     write_field,
@@ -147,8 +149,7 @@ class Trajectory:
 
 @lru_cache(maxsize=4)
 def _quadratic_phase(grid: Grid, t: float) -> np.ndarray:
-    r = grid.freq_radius()
-    phase = np.exp(r * r * (-1j * t))
+    phase = _radial(grid, lambda r: np.exp(r * r * (-1j * t)))
     phase.setflags(write=False)
     return phase
 
@@ -211,7 +212,7 @@ def _tail_fraction(f: Field) -> float:
         total = float(power.sum())
         if total == 0.0 or not math.isfinite(total):
             return 0.0
-        outer = f.grid.freq_radius() >= _TAIL_BAND_START * f.grid.nyquist
+        outer = _radial(f.grid, lambda r: r >= _TAIL_BAND_START * f.grid.nyquist)
         return float(power[outer].sum()) / total
 
 
@@ -287,8 +288,8 @@ def energy(f: Field, k: int) -> float:
     """
     _require_k(k)
     spec = f.as_frequency()
-    r = f.grid.freq_radius()
-    kinetic = 0.5 * float(np.sum(r * r * np.abs(spec.samples) ** 2)) * f.grid.freq_cell_volume
+    w = _radial(f.grid, _sobolev_symbol(2.0))
+    kinetic = 0.5 * float(np.sum(w * np.abs(spec.samples) ** 2)) * f.grid.freq_cell_volume
     phys = f.as_physical()
     potential = (
         float(np.sum(np.abs(phys.samples) ** (2 * k + 2)))

@@ -2,11 +2,12 @@
 fractional derivatives, and the low-frequency smoothing operator used by
 the almost-conservation diagnostics.
 
-All symbols are radial functions of ``|xi|`` applied on the frequency
-lattice.  The smooth cutoff ``psi`` equals 1 on ``r <= 1`` and 0 on
-``r >= 2`` exactly (masked branches), with the transition given by the
-normalised primitive of the bump ``exp(-1/(1-t^2))``, so dyadic pieces
-have exact supports and telescope exactly.
+All symbols are radial functions of ``|xi|``, evaluated once per integer
+``|m|^2`` of the frequency lattice.  The smooth cutoff ``psi`` equals 1 on
+``r <= 1`` and 0 on ``r >= 2`` exactly (masked branches), with the
+transition given by the normalised primitive of the bump
+``exp(-1/(1-t^2))``, so dyadic pieces have exact supports and telescope
+exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ResolutionError, _require_real
-from .spectral import Field, Grid, _map_spectrum
+from .spectral import Field, Grid, _map_spectrum, _radial
 
 __all__ = [
     "RadialSymbol",
@@ -110,7 +111,7 @@ def apply_symbol(f: Field, symbol: RadialSymbol) -> Field:
             f"symbol {symbol.label!r} needs frequencies up to {symbol.cutoff:.4g}, "
             f"grid Nyquist is {grid.nyquist:.4g}"
         )
-    values = symbol(grid.freq_radius())
+    values = _radial(grid, symbol)
     if not np.all(np.isfinite(values)):
         raise DomainError(f"symbol {symbol.label!r} is not finite on the lattice")
     return _map_spectrum(f, lambda spec: values * spec)
@@ -139,9 +140,6 @@ class ProjectionBank:
         j_max = math.ceil(math.log2(math.sqrt(grid.dim) * grid.nyquist))
         return cls(j_min, j_max)
 
-    def psi(self, r: np.ndarray) -> np.ndarray:
-        return smooth_cutoff(r)
-
     def phi(self, j: int, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=np.float64)
         return smooth_cutoff(np.ldexp(r, -j)) - smooth_cutoff(np.ldexp(r, -j + 1))
@@ -163,8 +161,7 @@ def _sharp_pass(f: Field, lam: float, keep_low: bool) -> Field:
         raise ResolutionError(
             f"cutoff {lam:.4g} must lie in (0, Nyquist={grid.nyquist:.4g})"
         )
-    low = grid.freq_radius() <= lam
-    mask = low if keep_low else ~low
+    mask = _radial(grid, lambda r: r <= lam if keep_low else r > lam)
     return _map_spectrum(f, lambda spec: np.where(mask, spec, 0.0))
 
 
@@ -205,27 +202,31 @@ def i_operator_symbol(N: float, s: float) -> RadialSymbol:
     return RadialSymbol(f"smoothing_N{N:g}_s{s:g}", fn, cutoff=2.0 * N)
 
 
+def _sobolev_symbol(s: float, inhomogeneous: bool = False) -> RadialSymbol:
+    """``|xi|^s``, or ``(1+|xi|^2)^(s/2)`` with ``inhomogeneous``.
+
+    The homogeneous symbol annihilates the zero mode for every ``s != 0``;
+    at ``s = 0`` both symbols are identically 1.
+    """
+    if inhomogeneous:
+        return RadialSymbol(f"bessel_{s:g}", lambda r: (1.0 + r * r) ** (0.5 * s))
+
+    def fn(r: np.ndarray) -> np.ndarray:
+        out = np.full_like(r, 1.0 if s == 0.0 else 0.0)
+        nz = r > 0.0
+        out[nz] = r[nz] ** s
+        return out
+
+    return RadialSymbol(f"riesz_{s:g}", fn)
+
+
 def fractional_derivative(f: Field, s: float, inhomogeneous: bool = False) -> Field:
     """Apply ``|xi|^s`` (or ``(1+|xi|^2)^(s/2)``) in frequency.
 
     The homogeneous symbol annihilates the zero mode for every ``s != 0``;
     ``s = 0`` is the identity.
     """
-    if s == 0.0:
-        return f
-
-    if inhomogeneous:
-        sym = RadialSymbol(f"bessel_{s:g}", lambda r: (1.0 + r * r) ** (0.5 * s))
-    else:
-
-        def fn(r: np.ndarray) -> np.ndarray:
-            out = np.zeros_like(r)
-            nz = r > 0.0
-            out[nz] = r[nz] ** s
-            return out
-
-        sym = RadialSymbol(f"riesz_{s:g}", fn)
-    return apply_symbol(f, sym)
+    return f if s == 0.0 else apply_symbol(f, _sobolev_symbol(s, inhomogeneous))
 
 
 def symbol_to_csv(symbol: RadialSymbol, r_values: np.ndarray, path) -> None:

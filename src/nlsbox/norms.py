@@ -15,8 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .multipliers import fractional_derivative
-from .spectral import Field, dealiased_modulus_power
+from .multipliers import _sobolev_symbol, fractional_derivative
+from .spectral import Field, _radial, dealiased_modulus_power
 
 __all__ = [
     "lebesgue_norm",
@@ -48,16 +48,7 @@ def sobolev_norm(f: Field, s: float, homogeneous: bool = True) -> float:
     is ``(1+|xi|^2)^s``.
     """
     g = f.grid
-    r = g.freq_radius()
-    if homogeneous:
-        if s == 0.0:
-            w = np.ones_like(r)
-        else:
-            w = np.zeros_like(r)
-            nz = r > 0.0
-            w[nz] = r[nz] ** (2.0 * s)
-    else:
-        w = (1.0 + r * r) ** s
+    w = _radial(g, _sobolev_symbol(2.0 * s, inhomogeneous=not homogeneous))
     spec = f.as_frequency().samples
     return math.sqrt(float((w * (spec.real**2 + spec.imag**2)).sum()) * g.freq_cell_volume)
 
@@ -142,9 +133,8 @@ def morawetz_quantity(traj, dim: int) -> float:
 def weighted_radial_sup(f: Field, weight_power: float) -> float:
     """``sup |x|^w |f(x)|`` over the lattice."""
     u = f.as_physical()
-    r = f.grid.space_radius()
     with np.errstate(divide="ignore"):
-        weight = r**weight_power
+        weight = _radial(f.grid, lambda r: r**weight_power, space=True)
     return float((weight * np.abs(u.samples)).max())
 
 
@@ -166,12 +156,11 @@ def strichartz_admissible(p: float, q: float, dim: int) -> bool:
 
 @dataclass(frozen=True)
 class DiagnosticSeries:
-    """A named scalar time series with its quadrature convention."""
+    """A named scalar time series."""
 
     name: str
     times: np.ndarray
     values: np.ndarray
-    quadrature: str = "trapezoid"
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=np.float64)

@@ -14,6 +14,12 @@ pairing Plancherel holds on the lattice and spectral values are samples
 of the continuum transform, so band embedding between grids over the
 same box is a plain value copy.
 
+Both lattices take radii from summed squared integer modes,
+``|x| = dx*sqrt(|m|^2)`` and ``|xi| = (2*pi/L)*sqrt(|m|^2)``.  Every radial
+function of the lattice is evaluated once per integer ``|m|^2`` and
+gathered onto the lattice, so its values are bitwise invariant under
+axis permutations and reflections.
+
 Products are formed alias-free by one routine, the padding rule of
 Orszag (1971): zero pad the spectrum by ``degree//2 + 1`` per axis for
 ``|f|^(degree-1) f`` (``power//2 + 1`` for ``|f|^power``), take the
@@ -35,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.fft as _fft
 
-from .errors import DomainError, RepresentationError, ResolutionError
+from .errors import DomainError, RepresentationError, ResolutionError, _require_real
 
 __all__ = [
     "Grid",
@@ -75,12 +81,11 @@ class Grid:
     points: int
 
     def __post_init__(self) -> None:
-        if self.dim not in (2, 3):
-            raise DomainError(f"dim must be 2 or 3, got {self.dim}")
-        if self.extent <= 0:
-            raise DomainError(f"extent must be positive, got {self.extent}")
-        if self.points < 4 or self.points % 2:
-            raise DomainError(f"points must be even and >= 4, got {self.points}")
+        if type(self.dim) is not int or self.dim not in (2, 3):
+            raise DomainError(f"dim must be 2 or 3, got {self.dim!r}")
+        object.__setattr__(self, "extent", _require_real("extent", self.extent, positive=True))
+        if type(self.points) is not int or self.points < 4 or self.points % 2:
+            raise DomainError(f"points must be an even integer >= 4, got {self.points!r}")
 
     @classmethod
     def default(cls, dim: int) -> "Grid":
@@ -130,11 +135,11 @@ class Grid:
 
     def freq_radius(self) -> np.ndarray:
         """Array of ``|xi|`` over the full frequency lattice (FFT order)."""
-        return _freq_radius(self)
+        return _radial(self, lambda r: r)
 
     def space_radius(self) -> np.ndarray:
         """Array of ``|x|`` over the full spatial lattice."""
-        return _space_radius(self)
+        return _radial(self, lambda r: r, space=True)
 
     def padded(self, factor: int) -> "Grid":
         """Grid over the same box with ``factor`` times as many points per axis."""
@@ -155,38 +160,31 @@ def _axis_coords(grid: Grid) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _axis_modes(grid: Grid) -> np.ndarray:
-    """Integer mode numbers ``j - n/2`` in physical storage order."""
-    return _readonly(np.arange(grid.points, dtype=np.int64) - grid.points // 2)
-
-
-@lru_cache(maxsize=None)
 def _freq_axis(grid: Grid) -> np.ndarray:
     m = np.fft.fftfreq(grid.points, d=1.0 / grid.points)
     return _readonly(grid.freq_step * m)
 
 
 @lru_cache(maxsize=None)
-def _freq_radius(grid: Grid) -> np.ndarray:
-    axes = np.meshgrid(*([_freq_axis(grid)] * grid.dim), indexing="ij", sparse=True)
-    return _readonly(np.sqrt(sum(a**2 for a in axes)))
-
-
-@lru_cache(maxsize=None)
-def _space_radius_sq(grid: Grid) -> np.ndarray:
-    # Summing the squared integer modes first keeps the radius exactly
-    # invariant under axis permutations and sign flips of the lattice.
-    m = _axis_modes(grid)
+def _mode_norm_sq(grid: Grid, space: bool) -> np.ndarray:
+    """Integer ``|m|^2`` over the lattice, in physical storage order for
+    ``x`` and FFT order for ``xi``; exact, so every lattice symmetry fixes it."""
+    m = np.arange(grid.points, dtype=np.int64) - grid.points // 2
+    if not space:
+        m = np.fft.ifftshift(m)
     axes = np.meshgrid(*([m * m] * grid.dim), indexing="ij", sparse=True)
-    s = axes[0]
-    for a in axes[1:]:
-        s = s + a
-    return _readonly(grid.dx * grid.dx * s)
+    return _readonly(sum(axes[1:], axes[0]))
 
 
-@lru_cache(maxsize=None)
-def _space_radius(grid: Grid) -> np.ndarray:
-    return _readonly(np.sqrt(_space_radius_sq(grid)))
+def _radial(grid: Grid, fn, space: bool = False) -> np.ndarray:
+    """``fn(|xi|)`` over the frequency lattice, or ``fn(|x|)`` with ``space``.
+
+    ``fn`` sees the radii ``step * sqrt(j)`` for every integer ``j`` up to
+    the largest ``|m|^2``, once, and the table is indexed by ``|m|^2``.
+    """
+    step = grid.dx if space else grid.freq_step
+    radii = step * np.sqrt(np.arange(grid.dim * (grid.points // 2) ** 2 + 1))
+    return np.broadcast_to(fn(radii), radii.shape)[_mode_norm_sq(grid, space)]
 
 
 @lru_cache(maxsize=None)
@@ -381,15 +379,16 @@ class RadialProfile:
     def __post_init__(self) -> None:
         if self.kind not in self.KINDS:
             raise DomainError(f"kind must be one of {self.KINDS}, got {self.kind!r}")
-        if self.width <= 0:
-            raise DomainError(f"width must be positive, got {self.width}")
+        for name, positive in (("amplitude", False), ("width", True)):
+            value = _require_real(name, getattr(self, name), positive)
+            object.__setattr__(self, name, value)
 
 
 def make_radial_data(grid: Grid, profile: RadialProfile) -> Field:
     """Sample a radial profile on the grid.
 
-    The radius is evaluated from the summed squared integer lattice
-    modes, so the samples are bitwise invariant under every lattice
+    The profile is evaluated once per summed squared integer lattice
+    mode, so the samples are bitwise invariant under every lattice
     symmetry (axis permutations and reflections).  Widths narrower than
     four grid cells are rejected to keep the spectral tail negligible.
     """
@@ -397,27 +396,30 @@ def make_radial_data(grid: Grid, profile: RadialProfile) -> Field:
         raise ResolutionError(
             f"width {profile.width} is under four grid cells ({4.0 * grid.dx:.4g})"
         )
-    r2 = _space_radius_sq(grid)
-    amp, w = profile.amplitude, profile.width
-    if profile.kind == "gaussian":
-        vals = amp * np.exp(-r2 / (2.0 * w * w))
-    elif profile.kind == "smooth_bump":
-        t2 = r2 / (4.0 * w * w)
-        vals = np.zeros(grid.shape)
-        inside = t2 < 1.0
-        vals[inside] = amp * np.exp(1.0 - 1.0 / (1.0 - t2[inside]))
-    else:
-        if profile.seed is None:
-            raise DomainError("random_radial_superposition requires a seed")
+    kind, amp, w = profile.kind, profile.amplitude, profile.width
+    if kind == "random_radial_superposition" and profile.seed is None:
+        raise DomainError("random_radial_superposition requires a seed")
+
+    def fn(r: np.ndarray) -> np.ndarray:
+        r2 = r * r
+        if kind == "gaussian":
+            return amp * np.exp(-r2 / (2.0 * w * w))
+        out = np.zeros_like(r)
+        if kind == "smooth_bump":
+            t2 = r2 / (4.0 * w * w)
+            inside = t2 < 1.0
+            out[inside] = amp * np.exp(1.0 - 1.0 / (1.0 - t2[inside]))
+            return out
         rng = np.random.Generator(np.random.Philox(key=profile.seed))
         n_terms = 6
         amps = amp * rng.uniform(0.35, 1.0, n_terms) * rng.choice([-1.0, 1.0], n_terms)
         widths = w * rng.uniform(0.8, 1.6, n_terms)
         kappas = rng.uniform(0.0, 1.5, n_terms) / w
-        r = _space_radius(grid)
-        vals = np.zeros(grid.shape)
         for a, wi, ka in zip(amps, widths, kappas):
-            vals = vals + a * np.exp(-r2 / (2.0 * wi * wi)) * np.cos(ka * r)
+            out = out + a * np.exp(-r2 / (2.0 * wi * wi)) * np.cos(ka * r)
+        return out
+
+    vals = _radial(grid, fn, space=True)
     return Field(grid, vals.astype(np.complex128), PHYSICAL)
 
 
@@ -432,7 +434,8 @@ def tail_mass_fraction(f: Field) -> float:
     total = float(dens.sum())
     if total == 0.0:
         return 0.0
-    outside = float(dens[_space_radius(f.grid) > f.grid.extent / 4.0].sum())
+    far = _radial(f.grid, lambda r: r > f.grid.extent / 4.0, space=True)
+    outside = float(dens[far].sum())
     return outside / total
 
 
@@ -445,9 +448,10 @@ def write_field(f: Field, path) -> None:
     g = f.grid
     flat = f.samples.reshape(-1)
     with open(path, "w") as fh:
-        fh.write(f"{g.dim} {g.points} {float(g.extent)!r} {f.rep}\n")
-        for z in flat:
-            fh.write(f"{float(z.real)!r} {float(z.imag)!r}\n")
+        fh.write(f"{g.dim} {g.points} {g.extent!r} {f.rep}\n")
+        fh.writelines(
+            f"{re!r} {im!r}\n" for re, im in zip(flat.real.tolist(), flat.imag.tolist())
+        )
 
 
 def read_field(path) -> Field:

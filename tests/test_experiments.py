@@ -152,6 +152,11 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path / "a.ini", text))
 
+    def test_non_finite_extent(self, tmp_path):
+        text = SWEEP_TEXT.replace("extent = 16.0", "extent = nan")
+        with pytest.raises(ConfigError, match=r"\[grid\]"):
+            load_config(write_config(tmp_path / "a.ini", text))
+
     def test_negative_seed(self, tmp_path):
         text = SWEEP_TEXT.replace("seed = 0", "seed = -2")
         with pytest.raises(ConfigError, match="seed"):

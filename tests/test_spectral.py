@@ -13,14 +13,17 @@ from nlsbox import (
     Field,
     Grid,
     RadialProfile,
+    RadialSymbol,
     RepresentationError,
     ResolutionError,
+    apply_symbol,
     dealiased_modulus_power,
     dealiased_power,
     forward_transform,
     inverse_transform,
     make_radial_data,
     read_field,
+    smooth_cutoff,
     tail_mass_fraction,
     write_field,
 )
@@ -58,6 +61,15 @@ class TestGrid:
             Grid(2, -1.0, 16)
         with pytest.raises(DomainError):
             Grid(2, 10.0, 15)
+        for dim in (2.0, True, 4):
+            with pytest.raises(DomainError, match="dim"):
+                Grid(dim, 8.0, 32)
+        for extent in (math.nan, math.inf, 0.0, True, "8"):
+            with pytest.raises(DomainError, match="extent"):
+                Grid(2, extent, 32)
+        for points in (32.0, True, np.int64(32), 2):
+            with pytest.raises(DomainError, match="points"):
+                Grid(2, 8.0, points)
 
     def test_freq_axis_layout(self):
         g = Grid(2, 16.0, 16)
@@ -269,6 +281,27 @@ class TestRadialData:
         for axis in range(3):
             assert np.array_equal(s, np.roll(np.flip(s, axis=axis), 1, axis=axis))
 
+    def test_freq_lattice_symmetry_bitwise(self):
+        grid = Grid(3, 16.0, 32)
+        flat = Field.frequency(grid, np.ones(grid.shape))
+        symbol = RadialSymbol("psi", lambda r: smooth_cutoff(r / (0.4 * grid.nyquist)))
+        values = apply_symbol(flat, symbol).samples
+        assert np.any((values != 0.0) & (values != 1.0))
+        for s in (grid.freq_radius(), values):
+            for perm in [(1, 0, 2), (2, 1, 0), (1, 2, 0)]:
+                assert np.array_equal(s, np.transpose(s, perm))
+            for axis in range(3):
+                # FFT-order reflection: slot j -> (-j) mod n.
+                assert np.array_equal(s, np.roll(np.flip(s, axis=axis), 1, axis=axis))
+
+    def test_profile_validation(self):
+        for width in (math.nan, math.inf, 0.0, -1.0, True):
+            with pytest.raises(DomainError, match="width"):
+                RadialProfile("gaussian", 1.0, width)
+        for amplitude in (math.nan, -math.inf, False, "1"):
+            with pytest.raises(DomainError, match="amplitude"):
+                RadialProfile("gaussian", amplitude, 1.0)
+
     def test_superposition_deterministic(self, grid2d_medium):
         p = RadialProfile("random_radial_superposition", 1.0, 2.0, 99)
         a = make_radial_data(grid2d_medium, p)
@@ -339,6 +372,26 @@ class TestSerialization:
         write_field(f, path)
         header = path.read_text().splitlines()[0].split()
         assert header == ["2", "16", "16.0", "physical"]
+
+    def test_rows_are_repr_text(self, tmp_path):
+        values = [0.1, -0.0, 1e-05, 1e16, 1.0 / 3.0, -2.5e-300, 123456789.0, 0.0]
+        samples = np.empty(8, dtype=np.complex128)
+        samples.real, samples.imag = values, values[::-1]  # keeps the signed zeros
+        f = Field.physical(Grid(2, 16.0, 4), np.tile(samples, 2).reshape(4, 4))
+        path = tmp_path / "state.field"
+        write_field(f, path)
+        rows = path.read_text().splitlines()[1:]
+        assert rows[:8] == [
+            "0.1 0.0",
+            "-0.0 123456789.0",
+            "1e-05 -2.5e-300",
+            "1e+16 0.3333333333333333",
+            "0.3333333333333333 1e+16",
+            "-2.5e-300 1e-05",
+            "123456789.0 -0.0",
+            "0.0 0.1",
+        ]
+        assert rows[8:] == rows[:8]
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.field"
