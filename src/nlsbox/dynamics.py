@@ -114,9 +114,8 @@ class Trajectory:
         samples = tuple((float(t), f) for t, f in self.samples)
         if not samples:
             raise DomainError("a trajectory needs at least one sample")
-        grid = samples[0][1].grid
         for _, f in samples:
-            if not isinstance(f, Field) or f.grid != grid:
+            if not isinstance(f, Field) or f.grid != samples[0][1].grid:
                 raise DomainError("all samples must be fields on a single grid")
         times = [t for t, _ in samples]
         if any(b <= a for a, b in zip(times, times[1:])):
@@ -170,20 +169,22 @@ def nonlinear_phase(f: Field, dt: float, k: int, dealias: bool = True) -> Field:
     With ``dealias`` set, the modulus power is formed on a padded grid so
     that the phase field is free of wrap-around products; the rotation
     itself is pointwise either way, so the modulus of every sample, and
-    with it the mass, is untouched.
+    with it the mass, is untouched.  The representation of the input is
+    preserved.
     """
     dt = _require_real("dt", dt)
     _require_k(k)
     u = f.as_physical()
     if dealias:
-        w = dealiased_modulus_power(u, 2 * k).samples.real
+        w = dealiased_modulus_power(f, 2 * k).samples.real
     else:
         w = np.abs(u.samples) ** (2 * k)
-    return Field(u.grid, u.samples * np.exp(-1j * dt * w), PHYSICAL)
+    out = Field(u.grid, u.samples * np.exp(-1j * dt * w), PHYSICAL)
+    return out if f.is_physical else out.as_frequency()
 
 
 def strang_step(f: Field, params: EvolutionParams) -> Field:
-    """One step of the symmetric splitting L(dt/2) N(dt) L(dt/2)."""
+    """One step of L(dt/2) N(dt) L(dt/2), in the representation of the input."""
     if f.grid.dim != params.dim:
         raise DomainError(
             f"field lives in {f.grid.dim} dimensions but params ask for {params.dim}"
@@ -193,7 +194,7 @@ def strang_step(f: Field, params: EvolutionParams) -> Field:
         # Overflow here means the run is blowing up; the resulting
         # non-finite samples are caught below, so keep numpy quiet.
         with np.errstate(over="ignore", invalid="ignore"):
-            u = linear_flow(f.as_physical(), half)
+            u = linear_flow(f, half)
             u = nonlinear_phase(u, params.dt, params.k, params.dealias)
             return linear_flow(u, half)
     except DomainError as exc:
@@ -216,14 +217,14 @@ def _tail_fraction(f: Field) -> float:
         return float(power[outer].sum()) / total
 
 
-def _check_health(u: Field, t: float, peak0: float, notes: list) -> None:
+def _check_health(u: Field, spec: Field, t: float, peak0: float, notes: list) -> None:
     peak = float(np.max(np.abs(u.samples)))
     if peak > _GROWTH_LIMIT * peak0:
         raise InstabilityError(
             f"amplitude grew by more than {_GROWTH_LIMIT:.0e} at t={t!r}"
         )
     if not notes:
-        frac = _tail_fraction(u)
+        frac = _tail_fraction(spec)
         if frac > _TAIL_WARN_FRACTION:
             msg = (
                 f"{frac:.3e} of the spectral mass sits above two thirds of the "
@@ -240,7 +241,8 @@ def evolve(initial: Field, params: EvolutionParams) -> Trajectory:
     at the final step.  Health checks run at each recorded instant: the
     peak amplitude must stay within a factor 1e6 of its starting value,
     and a warning is issued once if the top third of the resolved band
-    ever carries more than a 1e-4 share of the spectral mass.
+    ever carries more than a 1e-4 share of the spectral mass.  Steps run
+    in the frequency representation; recorded samples are physical.
     """
     if not isinstance(initial, Field):
         raise DomainError(f"initial data must be a Field, got {type(initial).__name__}")
@@ -249,22 +251,23 @@ def evolve(initial: Field, params: EvolutionParams) -> Trajectory:
             f"initial data lives in {initial.grid.dim} dimensions "
             f"but params ask for {params.dim}"
         )
-    u = initial.as_physical()
+    u, spec = initial.as_physical(), initial.as_frequency()
     steps = params.step_count()
     peak0 = float(np.max(np.abs(u.samples)))
     if peak0 == 0.0:
         peak0 = 1.0
     notes: list = []
-    _check_health(u, 0.0, peak0, notes)
+    _check_health(u, spec, 0.0, peak0, notes)
     samples = [(0.0, u)]
     for i in range(1, steps + 1):
         t = i * params.dt
         try:
-            u = strang_step(u, params)
+            spec = strang_step(spec, params)
         except InstabilityError as exc:
             raise InstabilityError(f"{exc} near t={t!r}") from exc
         if i % params.sample_every == 0 or i == steps:
-            _check_health(u, t, peak0, notes)
+            u = spec.as_physical()
+            _check_health(u, spec, t, peak0, notes)
             samples.append((t, u))
     provenance = (
         f"strang dim={params.dim} k={params.k} dt={params.dt!r} "
@@ -345,10 +348,10 @@ def read_checkpoint(directory: str) -> Trajectory:
             sample_every=evo.getint("sample_every"),
             dealias=evo.getboolean("dealias"),
         )
-        count = manifest["run"].getint("count")
-        provenance = manifest["run"].get("provenance", "")
+        run = manifest["run"]
+        count, n_warn = int(run["count"]), int(run["warning_count"])
+        provenance = run.get("provenance", "")
         times = [float(manifest["samples"][f"t_{i}"]) for i in range(count)]
-        n_warn = manifest["run"].getint("warning_count")
         notes = tuple(manifest["warnings"][f"w_{i}"] for i in range(n_warn))
     except (KeyError, ValueError) as exc:
         raise DomainError(f"malformed checkpoint manifest at {path}: {exc}") from exc

@@ -21,15 +21,16 @@ gathered onto the lattice, so its values are bitwise invariant under
 axis permutations and reflections.
 
 Products are formed alias-free by one routine, the padding rule of
-Orszag (1971): zero pad the spectrum by ``degree//2 + 1`` per axis for
-``|f|^(degree-1) f`` (``power//2 + 1`` for ``|f|^power``), take the
+Orszag (1971): for an m-fold product (``m = degree`` for
+``|f|^(degree-1) f``, ``m = power`` for ``|f|^power``) zero pad the
+spectrum to ``(m+1)n/2`` points per axis, rounded up to even, take the
 product pointwise on the padded lattice, and truncate back to the band
-``[-n/2, n/2)``.  The unpaired ``-n/2`` mode is carried one-sided: the
-padded grid holds it at ``-n/2`` only, and the truncation keeps the
-product's ``-n/2`` coefficient but drops its ``+n/2`` one.  The modulus
-power of a field that fills the ``-n/2`` planes thus has an imaginary
-part there beyond roundoff; the solver's nonlinear step keeps the real
-part only.
+``[-n/2, n/2)``.  A real product is transformed with a real FFT.  The
+unpaired ``-n/2`` mode is carried one-sided: the padded grid holds it at
+``-n/2`` only, and the truncation keeps the product's ``-n/2``
+coefficient but drops its ``+n/2`` one.  The modulus power of a field
+that fills the ``-n/2`` planes thus has an imaginary part there beyond
+roundoff; the solver's nonlinear step keeps the real part only.
 """
 
 from __future__ import annotations
@@ -189,13 +190,9 @@ def _radial(grid: Grid, fn, space: bool = False) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _checkerboard(grid: Grid) -> np.ndarray:
-    """``(-1)^(j1+...+jd)`` over the lattice; converts FFT phases to box phases."""
-    sign = 1.0 - 2.0 * (np.arange(grid.points) % 2)
-    axes = np.meshgrid(*([sign] * grid.dim), indexing="ij", sparse=True)
-    out = axes[0]
-    for a in axes[1:]:
-        out = out * a
-    return _readonly(out)
+    """``(-1)^(j1+...+jd)``, converting FFT phases to box phases; it equals
+    ``(-1)^|m|^2`` in FFT order, as ``m_i = j_i`` mod 2."""
+    return _readonly(1.0 - 2.0 * (_mode_norm_sq(grid, False) % 2))
 
 
 class Field:
@@ -305,33 +302,44 @@ def _map_spectrum(f: Field, fn) -> Field:
 
 
 @lru_cache(maxsize=None)
-def _band_slots(points: int, padded_points: int) -> np.ndarray:
-    """Storage slots of the modes ``[-n/2, n/2)`` in a padded FFT-order axis."""
-    half = points // 2
-    return _readonly(np.r_[0:half, padded_points - half : padded_points])
+def _padding(grid: Grid, factors: int) -> tuple:
+    """The padded grid of a ``factors``-fold product, the band's index in its
+    spectrum, and in its real half spectrum the indices of the band modes
+    with last-axis mode ``>= 0`` and of the mirrors of the others."""
+    half = grid.points // 2
+    fine = Grid(grid.dim, grid.extent, 2 * -(-(factors + 1) * grid.points // 4))
+    slots = _readonly(np.r_[0:half, fine.points - half : fine.points])
+    mirror = _readonly((fine.points - slots) % fine.points)
+    lead = grid.dim - 1
+    band = np.ix_(*([slots] * grid.dim))
+    upper = np.ix_(*([slots] * lead), _readonly(np.arange(half)))
+    lower = np.ix_(*([mirror] * lead), _readonly(np.arange(half, 0, -1)))
+    return fine, band, upper, lower
 
 
-def _padded_product(f: Field, factor: int, pointwise) -> np.ndarray:
-    """Physical samples of ``pointwise(f)`` formed on the grid padded by
-    ``factor`` and truncated to the band of ``f``.
+def _padded_product(f: Field, factors: int, pointwise) -> np.ndarray:
+    """Physical samples of ``pointwise(f)``, a ``factors``-fold product,
+    formed on the padded grid and truncated to the band of ``f``.
 
     The box-phase checkerboards of the two grids agree on every kept
-    mode, so they cancel and are never formed on the padded grid.
+    mode (both sizes are even), so they cancel and are never formed on
+    the padded grid.  Both grid scales are applied on the band.
     """
     g = f.grid
-    fine = g.padded(factor)
-    band = np.ix_(*([_band_slots(g.points, fine.points)] * g.dim))
+    fine, band, upper, lower = _padding(g, factors)
     spec = np.zeros(fine.shape, dtype=np.complex128)
     if f.is_physical:
-        spec[band] = _forward_scale(g) * _fft.fftn(f.samples)
+        spec[band] = (_forward_scale(g) * _inverse_scale(fine)) * _fft.fftn(f.samples)
     else:
-        spec[band] = _checkerboard(g) * f.samples
-    u = _inverse_scale(fine) * _fft.ifftn(spec)
-    # Complex even for a real |u|^power, so the padded FFT rounds as the
-    # complex transform does; a real FFT would change the last bits.
-    w = np.asarray(pointwise(u), dtype=np.complex128)
-    prod = _forward_scale(fine) * _fft.fftn(w)[band]
-    return _inverse_scale(g) * _fft.ifftn(prod)
+        spec[band] = _inverse_scale(fine) * (_checkerboard(g) * f.samples)
+    w = pointwise(_fft.ifftn(spec, overwrite_x=True))
+    if np.isrealobj(w):
+        hw = _fft.rfftn(w)
+        prod = np.concatenate((hw[upper], np.conj(hw[lower])), axis=-1)
+    else:
+        prod = _fft.fftn(w, overwrite_x=True)[band]
+    prod *= _forward_scale(fine) * _inverse_scale(g)
+    return _fft.ifftn(prod, overwrite_x=True)
 
 
 def dealiased_power(f: Field, degree: int) -> Field:
@@ -342,7 +350,7 @@ def dealiased_power(f: Field, degree: int) -> Field:
     """
     if degree < 3 or degree % 2 == 0:
         raise DomainError(f"degree must be odd and >= 3, got {degree}")
-    w = _padded_product(f, degree // 2 + 1, lambda u: np.abs(u) ** (degree - 1) * u)
+    w = _padded_product(f, degree, lambda u: np.abs(u) ** (degree - 1) * u)
     out = Field(f.grid, w, PHYSICAL)
     return out if f.is_physical else forward_transform(out)
 
@@ -356,7 +364,7 @@ def dealiased_modulus_power(f: Field, power: int) -> Field:
     """
     if power < 2 or power % 2:
         raise DomainError(f"power must be even and >= 2, got {power}")
-    w = _padded_product(f, power // 2 + 1, lambda u: np.abs(u) ** power)
+    w = _padded_product(f, power, lambda u: (u.real**2 + u.imag**2) ** (power // 2))
     return Field(f.grid, w, PHYSICAL)
 
 

@@ -216,6 +216,37 @@ class TestStrangAccuracy:
         assert 3.0 <= drift(0.02) / drift(0.01) <= 5.0
 
 
+class TestRepresentation:
+    @pytest.mark.parametrize("dealias", [False, True])
+    def test_steps_return_the_input_rep(self, dealias):
+        grid = Grid(2, 16.0, 16)
+        f = random_field(grid, seed=12)
+        params = EvolutionParams(2, 1, 0.01, 0.01, dealias=dealias)
+        for g in (f, f.as_frequency()):
+            assert strang_step(g, params).rep == g.rep
+            assert nonlinear_phase(g, 0.01, 1, dealias=dealias).rep == g.rep
+
+    @pytest.mark.parametrize("dealias", [False, True])
+    @pytest.mark.parametrize("grid", [Grid(2, 16.0, 32), Grid(3, 8.0, 16)], ids=["2d", "3d"])
+    def test_frequency_and_physical_steps_agree(self, grid, dealias):
+        f = random_field(grid, seed=13, band=grid.points // 4)
+        params = EvolutionParams(grid.dim, 1, 0.02, 0.02, dealias=dealias)
+        from_phys = strang_step(f, params).samples
+        from_freq = strang_step(f.as_frequency(), params).as_physical().samples
+        assert np.max(np.abs(from_freq - from_phys)) <= 1e-13 * np.max(np.abs(from_phys))
+        phase_phys = nonlinear_phase(f, 0.3, 1, dealias=dealias).samples
+        phase_freq = nonlinear_phase(f.as_frequency(), 0.3, 1, dealias=dealias)
+        diff = np.abs(phase_freq.as_physical().samples - phase_phys)
+        assert np.max(diff) <= 1e-13 * np.max(np.abs(phase_phys))
+
+    def test_evolve_samples_are_physical(self):
+        grid = Grid(2, 16.0, 32)
+        f = gaussian(grid, 0.8, 2.0)
+        for start in (f, f.as_frequency()):
+            traj = evolve(start, EvolutionParams(2, 1, 0.01, 0.07, sample_every=3))
+            assert all(u.rep == "physical" for _, u in traj)
+
+
 class TestConservation:
     def test_mass_is_conserved_to_rounding(self):
         grid = Grid(2, 16.0, 64)
@@ -286,6 +317,12 @@ class TestGuards:
         with pytest.raises(InstabilityError):
             evolve(f, EvolutionParams(2, 2, 0.01, 0.02))
 
+    def test_instability_names_the_first_step_between_samples(self):
+        grid = Grid(2, 16.0, 16)
+        f = Field.physical(grid, np.full(grid.shape, 1e200 + 0j))
+        with pytest.raises(InstabilityError, match=r"near t=0\.01$"):
+            evolve(f, EvolutionParams(2, 2, 0.01, 0.1, sample_every=5))
+
     def test_marginally_resolved_data_warns_once(self):
         grid = Grid(2, 16.0, 32)
         f = single_mode(grid, 1.0, (11, 0))
@@ -327,6 +364,11 @@ class TestTrajectory:
         with pytest.raises(DomainError):
             Trajectory(params, ((0.0, f), (0.0, f)))
 
+    def test_non_field_first_sample(self):
+        params = EvolutionParams(2, 1, 0.01, 0.1)
+        with pytest.raises(DomainError):
+            Trajectory(params, ((0.0, "x"),))
+
 
 class TestCheckpoint:
     def test_roundtrip_is_bitwise(self, tmp_path):
@@ -347,3 +389,14 @@ class TestCheckpoint:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DomainError):
             read_checkpoint(str(tmp_path / "nowhere"))
+
+    @pytest.mark.parametrize("key", ["count", "warning_count"])
+    def test_manifest_without_run_key(self, tmp_path, key):
+        grid = Grid(2, 16.0, 32)
+        traj = evolve(gaussian(grid, 0.5, 2.0), EvolutionParams(2, 1, 0.01, 0.02))
+        write_checkpoint(traj, str(tmp_path))
+        path = tmp_path / "manifest.ini"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(ln for ln in lines if not ln.startswith(f"{key} =")))
+        with pytest.raises(DomainError, match="malformed"):
+            read_checkpoint(str(tmp_path))

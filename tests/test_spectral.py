@@ -231,7 +231,12 @@ class TestDealiasedProducts:
             dealiased_modulus_power(f, 3)
 
     @pytest.mark.parametrize("power", [2, 4])
-    @pytest.mark.parametrize("grid", [Grid(2, 16.0, 16), Grid(3, 8.0, 8)], ids=["2d", "3d"])
+    @pytest.mark.parametrize(
+        "grid",
+        # n/2 odd on the last two: (p+1)n/2 is odd there and is rounded up.
+        [Grid(2, 16.0, 16), Grid(3, 8.0, 8), Grid(2, 10.0, 10), Grid(3, 6.0, 6)],
+        ids=["2d", "3d", "2d_odd_half", "3d_odd_half"],
+    )
     def test_modulus_power_full_band_matches_convolution_oracle(self, grid, power):
         # Full band: the -n/2 planes are populated, which pins how the
         # unpaired Nyquist mode enters the padded product.
