@@ -74,8 +74,10 @@ class EvolutionParams:
     dealias: bool = True
 
     def __post_init__(self) -> None:
-        if self.dim not in (2, 3):
+        if type(self.dim) is not int or self.dim not in (2, 3):
             raise DomainError(f"dim must be 2 or 3, got {self.dim!r}")
+        if type(self.dealias) is not bool:
+            raise DomainError(f"dealias must be True or False, got {self.dealias!r}")
         _require_k(self.k)
         if self.dim == 3 and self.k != 1:
             raise DomainError("three dimensional runs support the cubic case only")

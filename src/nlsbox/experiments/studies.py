@@ -170,80 +170,28 @@ def _probe_scale(bank: ProjectionBank) -> int:
     return max(bank.j_min + 1, min(0, bank.j_max - 1))
 
 
-def _bernstein_l2(f: Field, bank: ProjectionBank, j: int, s: float) -> float:
-    piece = lp_project(f, bank, j)
-    return lebesgue_norm(piece, 2.0) * 2.0 ** (j * s) / sobolev_norm(f, s)
-
-
-def _bernstein_lp(f: Field, bank: ProjectionBank, j: int, p: float) -> float:
-    piece = lp_project(f, bank, j)
-    gain = 2.0 ** (j * f.grid.dim * (0.5 - 1.0 / p))
-    return lebesgue_norm(piece, p) / (gain * lebesgue_norm(piece, 2.0))
-
-
-def _split_low(f: Field, cutoff: float, s: float) -> float:
-    low = low_pass(f, cutoff)
-    smoothed = apply_symbol(f, i_operator_symbol(cutoff, s))
-    bound = math.sqrt(sobolev_norm(smoothed, 1.0) * lebesgue_norm(low, 2.0))
-    return sobolev_norm(low, 0.5) / bound
-
-
-def _split_high(f: Field, cutoff: float, s: float) -> float:
-    high = high_pass(f, cutoff)
-    smoothed = apply_symbol(f, i_operator_symbol(cutoff, s))
-    return sobolev_norm(high, 0.5) * math.sqrt(cutoff) / sobolev_norm(smoothed, 1.0)
-
-
-def _radial_sobolev(f: Field, bank: ProjectionBank, j: int) -> float:
-    piece = lp_project(f, bank, j)
-    grid = f.grid
-    r = grid.space_radius()
-    # Beyond the quarter box the periodic images interfere with the
-    # outgoing radial ring, and the |x| weight amplifies the corners;
-    # the sup is taken where the torus still approximates free space.
-    inside = r <= grid.extent / 4.0
-    u = np.abs(piece.as_physical().samples)
-    sup = float((r[inside] * u[inside]).max())
-    return sup / sobolev_norm(piece, 0.5)
-
-
-def _local_smoothing(
-    f: Field, bank: ProjectionBank, j: int, horizon: float = 1.0, samples: int = 17
-) -> float:
-    piece = lp_project(f, bank, j).as_frequency()
-    grid = f.grid
-    radius = grid.extent / 4.0
-    mask = grid.space_radius() <= radius
-    times = np.linspace(0.0, horizon, samples)
-    local = np.empty(samples)
-    for i, t in enumerate(times):
-        u = linear_flow(piece, float(t)).as_physical().samples
-        local[i] = float((np.abs(u[mask]) ** 2).sum()) * grid.cell_volume
-    lhs = math.sqrt(float(np.trapezoid(local, times)))
-    bound = 2.0 ** (-0.5 * j) * math.sqrt(radius) * lebesgue_norm(piece, 2.0)
-    return lhs / bound
-
-
-def _strichartz(
-    f: Field, p: float, q: float, horizon: float = 1.0, samples: int = 17
-) -> float:
-    spectrum = f.as_frequency()
-    times = np.linspace(0.0, horizon, samples)
-    flow = [(float(t), linear_flow(spectrum, float(t))) for t in times]
-    spec = MixedNormSpec(p, q, 0.0, horizon)
-    return mixed_norm(flow, spec) / lebesgue_norm(f, 2.0)
-
-
 def _battery(cfg: StudyConfig):
-    """(name, bound_kind, constant function) triples for the grid's dimension.
+    """The probe scale, the cutoff, the ``(name, bound_kind)`` cases for the
+    grid's dimension, and a function giving one field's constants in case
+    order.
 
     ``sharp`` cases are lattice identities whose constant cannot exceed
     one; ``fitted`` cases are judged on stability across the corpus.
     """
-    bank = ProjectionBank.for_grid(cfg.grid)
+    grid = cfg.grid
+    bank = ProjectionBank.for_grid(grid)
     j = _probe_scale(bank)
-    cutoff = cfg.grid.freq_step * cfg.n
+    cutoff = grid.freq_step * cfg.n
     s = cfg.s
+    smoothing = i_operator_symbol(cutoff, s)
+    # Beyond the quarter box the periodic images interfere with the
+    # outgoing radial ring, and the |x| weight amplifies the corners;
+    # local norms and sups are taken where the torus still approximates
+    # free space.
+    radius = grid.extent / 4.0
+    r = grid.space_radius()
+    inside = r <= radius
+    times = [float(t) for t in np.linspace(0.0, 1.0, 17)]
     # The low split is Cauchy-Schwarz on the lattice, so its constant
     # never exceeds one.  The high split shares that bound whenever
     # s >= 1/2, because the smoothing symbol then dominates
@@ -251,21 +199,55 @@ def _battery(cfg: StudyConfig):
     # across the corpus is checked.
     high_kind = "sharp" if s >= 0.5 else "fitted"
     cases = [
-        ("bernstein_l2", "fitted", lambda f: _bernstein_l2(f, bank, j, s)),
-        ("bernstein_l4", "fitted", lambda f: _bernstein_lp(f, bank, j, 4.0)),
-        ("interpolation_low", "sharp", lambda f: _split_low(f, cutoff, s)),
-        ("interpolation_high", high_kind, lambda f: _split_high(f, cutoff, s)),
-        ("local_smoothing", "fitted", lambda f: _local_smoothing(f, bank, j)),
+        ("bernstein_l2", "fitted"),
+        ("bernstein_l4", "fitted"),
+        ("interpolation_low", "sharp"),
+        ("interpolation_high", high_kind),
+        ("local_smoothing", "fitted"),
     ]
-    if cfg.grid.dim == 2:
-        cases.append(("strichartz_4_4", "fitted", lambda f: _strichartz(f, 4.0, 4.0)))
+    if grid.dim == 2:
+        pairs = ((4.0, 4.0),)
+        cases.append(("strichartz_4_4", "fitted"))
     else:
-        cases.append(("radial_sobolev", "fitted", lambda f: _radial_sobolev(f, bank, j)))
-        cases.append(
-            ("strichartz_10_3", "fitted", lambda f: _strichartz(f, 10.0 / 3.0, 10.0 / 3.0))
-        )
-        cases.append(("strichartz_2_6", "fitted", lambda f: _strichartz(f, 2.0, 6.0)))
-    return j, cutoff, cases
+        pairs = ((10.0 / 3.0, 10.0 / 3.0), (2.0, 6.0))
+        cases += [
+            ("radial_sobolev", "fitted"),
+            ("strichartz_10_3", "fitted"),
+            ("strichartz_2_6", "fitted"),
+        ]
+
+    def constants(f: Field) -> list[float]:
+        spec = f.as_frequency()
+        piece = lp_project(spec, bank, j)
+        piece_x = piece.as_physical()
+        piece_l2 = lebesgue_norm(piece_x, 2.0)
+        smoothed_h1 = sobolev_norm(apply_symbol(spec, smoothing), 1.0)
+        low = low_pass(spec, cutoff)
+        high = high_pass(spec, cutoff)
+        local = np.empty(len(times))
+        for i, t in enumerate(times):
+            u = linear_flow(piece, t).as_physical().samples
+            local[i] = float((np.abs(u[inside]) ** 2).sum()) * grid.cell_volume
+        out = [
+            piece_l2 * 2.0 ** (j * s) / sobolev_norm(spec, s),
+            lebesgue_norm(piece_x, 4.0) / (2.0 ** (j * grid.dim * 0.25) * piece_l2),
+            sobolev_norm(low, 0.5) / math.sqrt(smoothed_h1 * lebesgue_norm(low, 2.0)),
+            sobolev_norm(high, 0.5) * math.sqrt(cutoff) / smoothed_h1,
+            math.sqrt(float(np.trapezoid(local, times)))
+            / (2.0 ** (-0.5 * j) * math.sqrt(radius) * piece_l2),
+        ]
+        if grid.dim == 3:
+            sup = float((r[inside] * np.abs(piece_x.samples[inside])).max())
+            out.append(sup / sobolev_norm(piece, 0.5))
+        # The free flow of the field, shared by the Strichartz pairs, sets
+        # the peak memory; nothing else field-sized is held beside it.
+        del piece, piece_x, low, high
+        flow = [(t, linear_flow(spec, t).as_physical()) for t in times]
+        l2 = lebesgue_norm(f, 2.0)
+        out += [mixed_norm(flow, MixedNormSpec(p, q, 0.0, 1.0)) / l2 for p, q in pairs]
+        return out
+
+    return j, cutoff, cases, constants
 
 
 def _case_metrics(kind: str, constants: list[float]) -> dict:
@@ -287,14 +269,17 @@ def _case_metrics(kind: str, constants: list[float]) -> dict:
 
 def _inequalities(cfg: StudyConfig, out_dir: str) -> StudyReport:
     corpus = radial_corpus(cfg.grid, cfg.corpus_count, cfg.seed)
-    j, cutoff, cases = _battery(cfg)
+    j, cutoff, cases, constants = _battery(cfg)
+    # Field by field, so each field's intermediates are formed once and
+    # dropped before the next; rows stay case-major.
+    table = [constants(f) for f in corpus]
     rows: list[tuple] = []
     case_metrics: dict = {}
-    for name, kind, fn in cases:
-        constants = [float(fn(f)) for f in corpus]
-        for i, c in enumerate(constants):
-            rows.append((name, member_seed(cfg.seed, i), c))
-        case_metrics[name] = _case_metrics(kind, constants)
+    for c, (name, kind) in enumerate(cases):
+        column = [float(row[c]) for row in table]
+        for i, value in enumerate(column):
+            rows.append((name, member_seed(cfg.seed, i), value))
+        case_metrics[name] = _case_metrics(kind, column)
     passed = all(entry["passed"] for entry in case_metrics.values())
 
     write_rows(os.path.join(out_dir, "constants.csv"), "inequality,seed,constant", rows)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _require_real
 from .multipliers import _sobolev_symbol, fractional_derivative
 from .spectral import Field, _radial, dealiased_modulus_power
 
@@ -32,7 +32,7 @@ __all__ = [
 
 def lebesgue_norm(f: Field, p: float) -> float:
     """``L^p`` norm of the physical samples; ``p = inf`` gives the sup."""
-    if p < 1.0:
+    if not p >= 1.0:  # false for NaN, too
         raise DomainError(f"p must be >= 1, got {p}")
     mag = np.abs(f.as_physical().samples)
     if math.isinf(p):
@@ -48,6 +48,7 @@ def sobolev_norm(f: Field, s: float, homogeneous: bool = True) -> float:
     is ``(1+|xi|^2)^s``.
     """
     g = f.grid
+    s = _require_real("s", s)
     w = _radial(g, _sobolev_symbol(2.0 * s, inhomogeneous=not homogeneous))
     spec = f.as_frequency().samples
     return math.sqrt(float((w * (spec.real**2 + spec.imag**2)).sum()) * g.freq_cell_volume)
@@ -63,7 +64,7 @@ class MixedNormSpec:
     t_end: float
 
     def __post_init__(self) -> None:
-        if self.p_time < 1.0 or self.q_space < 1.0:
+        if not (self.p_time >= 1.0 and self.q_space >= 1.0):  # false for NaN, too
             raise DomainError("mixed norm exponents must be >= 1")
         if not self.t_end > self.t_start:
             raise DomainError(

@@ -63,6 +63,17 @@ class TestParams:
         with pytest.raises(DomainError):
             EvolutionParams(2, 1, 0.01, 0.1, sample_every=0)
 
+    @pytest.mark.parametrize("dealias", [None, "false", 0, 1, np.bool_(True)])
+    def test_dealias_must_be_a_bool(self, dealias):
+        with pytest.raises(DomainError, match="dealias"):
+            EvolutionParams(2, 1, 0.01, 0.1, dealias=dealias)
+        assert EvolutionParams(2, 1, 0.01, 0.1, dealias=False).dealias is False
+
+    @pytest.mark.parametrize("dim", [3.0, 2.0, True, np.int64(2)])
+    def test_dim_must_be_an_int(self, dim):
+        with pytest.raises(DomainError, match="dim"):
+            EvolutionParams(dim, 1, 0.01, 0.1)
+
     def test_horizon_must_be_whole_steps(self):
         with pytest.raises(DomainError):
             EvolutionParams(2, 1, 0.01, 0.095)
@@ -390,7 +401,7 @@ class TestCheckpoint:
         with pytest.raises(DomainError):
             read_checkpoint(str(tmp_path / "nowhere"))
 
-    @pytest.mark.parametrize("key", ["count", "warning_count"])
+    @pytest.mark.parametrize("key", ["count", "warning_count", "dealias"])
     def test_manifest_without_run_key(self, tmp_path, key):
         grid = Grid(2, 16.0, 32)
         traj = evolve(gaussian(grid, 0.5, 2.0), EvolutionParams(2, 1, 0.01, 0.02))

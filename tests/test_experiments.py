@@ -7,6 +7,20 @@ import os
 import numpy as np
 import pytest
 
+from nlsbox import (
+    MixedNormSpec,
+    ProjectionBank,
+    apply_symbol,
+    high_pass,
+    i_operator_symbol,
+    lebesgue_norm,
+    linear_flow,
+    low_pass,
+    lp_project,
+    mixed_norm,
+    sobolev_norm,
+    spectral,
+)
 from nlsbox.errors import ConfigError
 from nlsbox.experiments import (
     STUDY_NAMES,
@@ -16,6 +30,7 @@ from nlsbox.experiments import (
     radial_corpus,
     run_study,
 )
+from nlsbox.experiments import studies
 from nlsbox.experiments.cli import main
 from nlsbox.experiments.reports import write_rows
 from nlsbox.spectral import Grid, make_radial_data
@@ -73,6 +88,101 @@ kind = gaussian
 amplitude = 1.2
 width = 2.0
 """
+
+INEQ_2D_TEXT = """
+[study]
+name = inequalities
+seed = 2
+
+[grid]
+dim = 2
+extent = 16.0
+points = 32
+
+[imethod]
+s = 0.85
+n = 4
+
+[corpus]
+count = 8
+"""
+
+INEQ_3D_TEXT = """
+[study]
+name = inequalities
+seed = 2
+
+[grid]
+dim = 3
+extent = 16.0
+points = 16
+
+[imethod]
+s = 0.7
+n = 3
+
+[corpus]
+count = 4
+"""
+
+
+def _per_case_constants(cfg):
+    """``(case, constant)`` rows of the inequality study, case-major, each
+    constant evaluated on its own from the field through public calls."""
+    grid, s = cfg.grid, cfg.s
+    bank = ProjectionBank.for_grid(grid)
+    j = max(bank.j_min + 1, min(0, bank.j_max - 1))
+    cutoff = grid.freq_step * cfg.n
+    radius = grid.extent / 4.0
+    r = grid.space_radius()
+    inside = r <= radius
+    times = np.linspace(0.0, 1.0, 17)
+
+    def smoothed(f):
+        return apply_symbol(f, i_operator_symbol(cutoff, s))
+
+    def local_smoothing(f):
+        piece = lp_project(f, bank, j).as_frequency()
+        local = [
+            float((np.abs(linear_flow(piece, float(t)).as_physical().samples[inside]) ** 2).sum())
+            * grid.cell_volume
+            for t in times
+        ]
+        lhs = math.sqrt(float(np.trapezoid(local, times)))
+        return lhs / (2.0 ** (-0.5 * j) * math.sqrt(radius) * lebesgue_norm(piece, 2.0))
+
+    def radial_sobolev(f):
+        piece = lp_project(f, bank, j)
+        sup = float((r[inside] * np.abs(piece.as_physical().samples)[inside]).max())
+        return sup / sobolev_norm(piece, 0.5)
+
+    def strichartz(p, q):
+        def constant(f):
+            spectrum = f.as_frequency()
+            flow = [(float(t), linear_flow(spectrum, float(t))) for t in times]
+            return mixed_norm(flow, MixedNormSpec(p, q, 0.0, 1.0)) / lebesgue_norm(f, 2.0)
+
+        return constant
+
+    cases = [
+        ("bernstein_l2", lambda f: lebesgue_norm(lp_project(f, bank, j), 2.0)
+         * 2.0 ** (j * s) / sobolev_norm(f, s)),
+        ("bernstein_l4", lambda f: lebesgue_norm(lp_project(f, bank, j), 4.0)
+         / (2.0 ** (j * grid.dim * 0.25) * lebesgue_norm(lp_project(f, bank, j), 2.0))),
+        ("interpolation_low", lambda f: sobolev_norm(low_pass(f, cutoff), 0.5) / math.sqrt(
+            sobolev_norm(smoothed(f), 1.0) * lebesgue_norm(low_pass(f, cutoff), 2.0))),
+        ("interpolation_high", lambda f: sobolev_norm(high_pass(f, cutoff), 0.5)
+         * math.sqrt(cutoff) / sobolev_norm(smoothed(f), 1.0)),
+        ("local_smoothing", local_smoothing),
+    ]
+    if grid.dim == 2:
+        cases.append(("strichartz_4_4", strichartz(4.0, 4.0)))
+    else:
+        cases.append(("radial_sobolev", radial_sobolev))
+        cases.append(("strichartz_10_3", strichartz(10.0 / 3.0, 10.0 / 3.0)))
+        cases.append(("strichartz_2_6", strichartz(2.0, 6.0)))
+    corpus = radial_corpus(grid, cfg.corpus_count, cfg.seed)
+    return [(name, fn(f)) for name, fn in cases for f in corpus]
 
 
 class TestLoadConfig:
@@ -241,24 +351,7 @@ class TestStudies:
         assert energy_lines[0] == "t,energy"
 
     def test_inequalities_battery_2d(self, tmp_path):
-        text = """
-[study]
-name = inequalities
-seed = 2
-
-[grid]
-dim = 2
-extent = 16.0
-points = 32
-
-[imethod]
-s = 0.85
-n = 4
-
-[corpus]
-count = 8
-"""
-        cfg = load_config(write_config(tmp_path / "a.ini", text))
+        cfg = load_config(write_config(tmp_path / "a.ini", INEQ_2D_TEXT))
         report = run_study(cfg, tmp_path / "out")
         cases = report.metrics["cases"]
         assert set(cases) == {
@@ -277,28 +370,47 @@ count = 8
         assert len(lines) == 1 + 6 * 8
 
     def test_inequalities_battery_3d(self, tmp_path):
-        text = """
-[study]
-name = inequalities
-seed = 2
-
-[grid]
-dim = 3
-extent = 16.0
-points = 16
-
-[imethod]
-s = 0.7
-n = 3
-
-[corpus]
-count = 4
-"""
-        cfg = load_config(write_config(tmp_path / "a.ini", text))
+        cfg = load_config(write_config(tmp_path / "a.ini", INEQ_3D_TEXT))
         report = run_study(cfg, tmp_path / "out")
         cases = report.metrics["cases"]
         assert {"radial_sobolev", "strichartz_10_3", "strichartz_2_6"} <= set(cases)
         assert "strichartz_4_4" not in cases
+
+    def test_battery_forms_each_field_intermediate_once(self, tmp_path, monkeypatch):
+        # One spectrum per corpus field, and 2 x 17 free flows: the dyadic
+        # piece's for local smoothing and the field's, shared by both
+        # Strichartz pairs.
+        counts = {"forward_transform": 0, "linear_flow": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(spectral, "forward_transform")
+        counting(studies, "linear_flow")
+        cfg = load_config(write_config(tmp_path / "a.ini", INEQ_3D_TEXT))
+        run_study(cfg, tmp_path / "out")
+        assert counts == {
+            "forward_transform": cfg.corpus_count,
+            "linear_flow": 2 * 17 * cfg.corpus_count,
+        }
+
+    @pytest.mark.parametrize("text", [INEQ_2D_TEXT, INEQ_3D_TEXT], ids=["2d", "3d"])
+    def test_battery_constants_match_the_per_case_formulas(self, tmp_path, text):
+        cfg = load_config(write_config(tmp_path / "a.ini", text))
+        run_study(cfg, tmp_path / "out")
+        lines = (tmp_path / "out" / "constants.csv").read_text().splitlines()[1:]
+        names = [line.split(",")[0] for line in lines]
+        got = np.array([float(line.split(",")[2]) for line in lines])
+        expected = _per_case_constants(cfg)
+        assert names == [name for name, _ in expected]
+        want = np.array([c for _, c in expected])
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
     @pytest.mark.filterwarnings("ignore::nlsbox.errors.UndersamplingWarning")
     def test_morawetz_writes_five_rows(self, tmp_path):

@@ -60,6 +60,12 @@ class TestLebesgue:
         with pytest.raises(DomainError):
             lebesgue_norm(gaussian(grid2d_medium), 0.5)
 
+    def test_nan_exponent_rejected(self, grid2d_medium):
+        f = gaussian(grid2d_medium)
+        with pytest.raises(DomainError):
+            lebesgue_norm(f, math.nan)
+        assert lebesgue_norm(f, math.inf) == pytest.approx(1.0, rel=1e-15)
+
     def test_holder_interpolation(self):
         grid = Grid(2, 32.0, 64)
         for i in range(50):
@@ -104,6 +110,11 @@ class TestSobolev:
         assert h >= sobolev_norm(f, 0.0) * (1.0 - 1e-12)
         assert h >= sobolev_norm(f, s) * (1.0 - 1e-12)
         assert h <= (sobolev_norm(f, 0.0) + sobolev_norm(f, s)) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, True, "0.5"])
+    def test_non_finite_order_rejected(self, grid2d_medium, s):
+        with pytest.raises(DomainError):
+            sobolev_norm(gaussian(grid2d_medium), s)
 
     def test_interpolation_split_constant_one(self):
         # Sharp-cutoff splits hold with constant exactly 1:
@@ -153,6 +164,11 @@ class TestMixedNorm:
             MixedNormSpec(0.5, 4.0, 0.0, 1.0)
         with pytest.raises(DomainError):
             MixedNormSpec(4.0, 4.0, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            MixedNormSpec(math.nan, 4.0, 0.0, 1.0)
+        with pytest.raises(DomainError):
+            MixedNormSpec(4.0, math.nan, 0.0, 1.0)
+        assert MixedNormSpec(math.inf, math.inf, 0.0, 1.0).p_time == math.inf
 
 
 class TestMorawetz:
