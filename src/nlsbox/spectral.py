@@ -24,13 +24,12 @@ Products are formed alias-free by one routine, the padding rule of
 Orszag (1971): for an m-fold product (``m = degree`` for
 ``|f|^(degree-1) f``, ``m = power`` for ``|f|^power``) zero pad the
 spectrum to ``(m+1)n/2`` points per axis, rounded up to even, take the
-product pointwise on the padded lattice, and truncate back to the band
-``[-n/2, n/2)``.  A real product is transformed with a real FFT.  The
-unpaired ``-n/2`` mode is carried one-sided: the padded grid holds it at
-``-n/2`` only, and the truncation keeps the product's ``-n/2``
-coefficient but drops its ``+n/2`` one.  The modulus power of a field
-that fills the ``-n/2`` planes thus has an imaginary part there beyond
-roundoff; the solver's nonlinear step keeps the real part only.
+product pointwise on the padded lattice, and truncate back.  The product
+band is the symmetric ``[-n/2+1, n/2-1]``: the unpaired ``-n/2`` planes
+are dropped from the padded input and from the truncated product, so the
+padded field of an even spectrum is even and a real product's spectrum
+is Hermitian.  A real product is transformed with a real FFT and
+inverted from its half spectrum.
 """
 
 from __future__ import annotations
@@ -303,43 +302,61 @@ def _map_spectrum(f: Field, fn) -> Field:
 
 @lru_cache(maxsize=None)
 def _padding(grid: Grid, factors: int) -> tuple:
-    """The padded grid of a ``factors``-fold product, the band's index in its
-    spectrum, and in its real half spectrum the indices of the band modes
-    with last-axis mode ``>= 0`` and of the mirrors of the others."""
+    """The padded grid of a ``factors``-fold product, and the band's index in
+    its spectrum and in its real half spectrum (last-axis modes ``0..n/2``)."""
     half = grid.points // 2
     fine = Grid(grid.dim, grid.extent, 2 * -(-(factors + 1) * grid.points // 4))
     slots = _readonly(np.r_[0:half, fine.points - half : fine.points])
-    mirror = _readonly((fine.points - slots) % fine.points)
-    lead = grid.dim - 1
     band = np.ix_(*([slots] * grid.dim))
-    upper = np.ix_(*([slots] * lead), _readonly(np.arange(half)))
-    lower = np.ix_(*([mirror] * lead), _readonly(np.arange(half, 0, -1)))
-    return fine, band, upper, lower
+    halfband = np.ix_(*([slots] * (grid.dim - 1)), _readonly(np.arange(half + 1)))
+    return fine, band, halfband
+
+
+@lru_cache(maxsize=None)
+def _band_factors(grid: Grid, factors: int) -> tuple:
+    """Factors that carry the band of a coarse spectrum onto the padded
+    grid, from physical and from frequency samples, and back from the
+    product's full and half spectrum.  They hold both grid scales and are
+    zero on the ``-n/2`` planes (and on a half spectrum's ``+n/2`` plane),
+    which drops the unpaired mode."""
+    half = grid.points // 2
+    fine = _padding(grid, factors)[0]
+    keep = np.ones(grid.shape)
+    for axis in range(grid.dim):
+        keep[(slice(None),) * axis + (half,)] = 0.0
+    scale_in, scale_out = _inverse_scale(fine), _forward_scale(fine) * _inverse_scale(grid)
+    carry = (
+        _forward_scale(grid) * scale_in * keep,
+        scale_in * _checkerboard(grid) * keep,
+        scale_out * keep,
+        scale_out * keep[..., : half + 1],
+    )
+    return tuple(_readonly(c) for c in carry)
 
 
 def _padded_product(f: Field, factors: int, pointwise) -> np.ndarray:
     """Physical samples of ``pointwise(f)``, a ``factors``-fold product,
-    formed on the padded grid and truncated to the band of ``f``.
+    formed on the padded grid from the band ``[-n/2+1, n/2-1]`` of ``f`` and
+    truncated back to that band.
 
-    The box-phase checkerboards of the two grids agree on every kept
-    mode (both sizes are even), so they cancel and are never formed on
-    the padded grid.  Both grid scales are applied on the band.
+    Both grid scales are applied on the band.  The box-phase
+    checkerboards of the two grids agree on every kept mode (both sizes
+    are even), so they cancel and are never formed on the padded grid;
+    and a real product's truncated spectrum is Hermitian, so it is
+    inverted from its half spectrum and its samples are real.
     """
     g = f.grid
-    fine, band, upper, lower = _padding(g, factors)
+    fine, band, halfband = _padding(g, factors)
+    from_phys, from_freq, to_full, to_half = _band_factors(g, factors)
     spec = np.zeros(fine.shape, dtype=np.complex128)
     if f.is_physical:
-        spec[band] = (_forward_scale(g) * _inverse_scale(fine)) * _fft.fftn(f.samples)
+        spec[band] = from_phys * _fft.fftn(f.samples)
     else:
-        spec[band] = _inverse_scale(fine) * (_checkerboard(g) * f.samples)
+        spec[band] = from_freq * f.samples
     w = pointwise(_fft.ifftn(spec, overwrite_x=True))
     if np.isrealobj(w):
-        hw = _fft.rfftn(w)
-        prod = np.concatenate((hw[upper], np.conj(hw[lower])), axis=-1)
-    else:
-        prod = _fft.fftn(w, overwrite_x=True)[band]
-    prod *= _forward_scale(fine) * _inverse_scale(g)
-    return _fft.ifftn(prod, overwrite_x=True)
+        return _fft.irfftn(to_half * _fft.rfftn(w)[halfband], s=g.shape, overwrite_x=True)
+    return _fft.ifftn(to_full * _fft.fftn(w, overwrite_x=True)[band], overwrite_x=True)
 
 
 def dealiased_power(f: Field, degree: int) -> Field:
@@ -358,9 +375,7 @@ def dealiased_power(f: Field, degree: int) -> Field:
 def dealiased_modulus_power(f: Field, power: int) -> Field:
     """Alias-free real product ``|f|^power`` for even ``power >= 2``.
 
-    Returned as a physical field.  The imaginary part is roundoff only
-    when the ``-n/2`` planes of ``f`` are empty; otherwise it carries the
-    unpaired Nyquist mode (see the module notes).
+    Returned as a physical field with real samples.
     """
     if power < 2 or power % 2:
         raise DomainError(f"power must be even and >= 2, got {power}")

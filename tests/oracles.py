@@ -44,9 +44,10 @@ def direct_inverse(f: Field) -> np.ndarray:
 def fourier_coefficients(f: Field, band: int | None = None) -> np.ndarray:
     """Plain Fourier-series coefficients on the symmetric cube ``[-b, b]^d``.
 
-    ``b`` defaults to ``n/2``; the ``+n/2`` slot is zero because the grid
-    band is ``[-n/2, n/2)``.  Passing a smaller ``band`` trims the cube and
-    asserts nothing was lost.
+    ``b`` defaults to ``n/2``.  The cube holds the product band
+    ``[-n/2+1, n/2-1]``: the unpaired ``-n/2`` planes of the grid band
+    ``[-n/2, n/2)`` are dropped, and the ``+n/2`` slots are empty.
+    Passing a smaller ``band`` trims the cube and asserts nothing was lost.
     """
     g = f.grid
     n, d = g.points, g.dim
@@ -54,7 +55,7 @@ def fourier_coefficients(f: Field, band: int | None = None) -> np.ndarray:
     coeff = spec * (g.freq_cell_volume / TWO_PI ** (d / 2.0))
     half = n // 2
     cube = np.zeros((n + 1,) * d, dtype=np.complex128)
-    cube[(slice(0, n),) * d] = np.fft.fftshift(coeff)
+    cube[(slice(1, n),) * d] = np.fft.fftshift(coeff)[(slice(1, n),) * d]
     if band is None:
         return cube
     assert band <= half
@@ -90,12 +91,8 @@ def odd_power_coefficients(f: Field, degree: int, band: int | None = None) -> np
 
 
 def modulus_power_coefficients(f: Field, power: int, band: int | None = None) -> np.ndarray:
-    """Exact coefficients of ``|f|^power`` (even ``power``) by repeated convolution.
-
-    The input cube carries the ``-n/2`` mode one-sided, as
-    :func:`fourier_coefficients` builds it, so the conjugate factors carry
-    it at ``+n/2``.
-    """
+    """Exact coefficients of ``|f|^power`` (even ``power``) by repeated convolution
+    of the product band of ``f`` and of its conjugate."""
     k = power // 2
     cube = fourier_coefficients(f, band)
     flipped = reflect_conj(cube)
@@ -108,12 +105,14 @@ def modulus_power_coefficients(f: Field, power: int, band: int | None = None) ->
 
 
 def band_restrict(cube: np.ndarray, grid: Grid) -> np.ndarray:
-    """Restrict symmetric-cube coefficients to the grid band, FFT order."""
+    """Restrict symmetric-cube coefficients to the product band
+    ``[-n/2+1, n/2-1]``, in FFT order with the ``-n/2`` slots zero."""
     n, d = grid.points, grid.dim
     size = cube.shape[0]
     center = (size - 1) // 2
     lo, hi = center - n // 2, center + n // 2
-    block = cube[(slice(lo, hi),) * d]
+    block = np.zeros((n,) * d, dtype=cube.dtype)
+    block[(slice(1, n),) * d] = cube[(slice(lo + 1, hi),) * d]
     return np.fft.ifftshift(block)
 
 
@@ -123,7 +122,7 @@ def coefficients_to_spectrum(band_coeffs: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def direct_odd_power_spectrum(f: Field, degree: int, band: int | None = None) -> np.ndarray:
-    """Transform samples of the alias-free odd power, restricted to the grid band."""
+    """Transform samples of the alias-free odd power, restricted to the product band."""
     cube = odd_power_coefficients(f, degree, band)
     return coefficients_to_spectrum(band_restrict(cube, f.grid), f.grid)
 

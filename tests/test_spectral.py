@@ -238,8 +238,8 @@ class TestDealiasedProducts:
         ids=["2d", "3d", "2d_odd_half", "3d_odd_half"],
     )
     def test_modulus_power_full_band_matches_convolution_oracle(self, grid, power):
-        # Full band: the -n/2 planes are populated, which pins how the
-        # unpaired Nyquist mode enters the padded product.
+        # Full band: the -n/2 planes are populated, which pins that the
+        # unpaired Nyquist mode is dropped from the padded product.
         f = random_field(grid, seed=90 + power + grid.dim)
         impl = dealiased_modulus_power(f, power).as_frequency().samples
         cube = modulus_power_coefficients(f, power)
