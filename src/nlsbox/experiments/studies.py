@@ -16,7 +16,7 @@ import os
 import numpy as np
 
 from ..dynamics import EvolutionParams, energy, evolve, linear_flow, mass
-from ..errors import ConfigError
+from ..errors import ConfigError, DomainError
 from ..imethod import IMethodConfig, increment_ledger, scattering_diagnostic
 from ..multipliers import (
     ProjectionBank,
@@ -32,6 +32,7 @@ from ..norms import (
     mixed_norm,
     morawetz_quantity,
     sobolev_norm,
+    strichartz_admissible,
 )
 from ..spectral import Field, Grid, make_radial_data
 from .config import StudyConfig
@@ -215,6 +216,9 @@ def _battery(cfg: StudyConfig):
             ("strichartz_10_3", "fitted"),
             ("strichartz_2_6", "fitted"),
         ]
+    for p, q in pairs:
+        if not strichartz_admissible(p, q, grid.dim):
+            raise DomainError(f"Strichartz pair ({p}, {q}) is not admissible in {grid.dim}d")
 
     def constants(f: Field) -> list[float]:
         spec = f.as_frequency()

@@ -145,7 +145,7 @@ def strichartz_admissible(p: float, q: float, dim: int) -> bool:
     In 2d: ``p > 2`` and ``1/p + 1/q = 1/2``.  In 3d: ``p >= 2`` and
     ``2/p = 3*(1/2 - 1/q)``, which pins ``q`` between 2 and 6.
     """
-    if p < 1.0 or q < 1.0:
+    if not (p >= 1.0 and q >= 1.0):  # false for NaN, too
         raise DomainError(f"exponents must be >= 1, got ({p}, {q})")
     tol = 1e-12
     if dim == 2:

@@ -30,6 +30,16 @@ are dropped from the padded input and from the truncated product, so the
 padded field of an even spectrum is even and a real product's spectrum
 is Hermitian.  A real product is transformed with a real FFT and
 inverted from its half spectrum.
+
+Radial data are even in every axis, ``a[j] = a[n-j]`` in either storage
+order, and an even array is fixed by its ``[0, n/2]^d`` block, whose
+type-I DCT is the array's DFT.  The transforms and the products test
+their input for evenness and, when it holds, transform that block on
+the coarse grid and on the padded grid alike, then unfold the result by
+reflection.  Their outputs are then exactly even, so a radial run stays
+on this path from step to step.  Arrays of fewer than 4096 points
+(below ``64^2`` or ``16^3``) always take the full-grid FFTs, where the
+block's fixed costs outweigh its smaller transforms.
 """
 
 from __future__ import annotations
@@ -141,12 +151,6 @@ class Grid:
         """Array of ``|x|`` over the full spatial lattice."""
         return _radial(self, lambda r: r, space=True)
 
-    def padded(self, factor: int) -> "Grid":
-        """Grid over the same box with ``factor`` times as many points per axis."""
-        if factor < 1:
-            raise DomainError(f"pad factor must be >= 1, got {factor}")
-        return Grid(self.dim, self.extent, factor * self.points)
-
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -207,12 +211,13 @@ class Field:
     def __init__(self, grid: Grid, samples: np.ndarray, rep: str) -> None:
         if rep not in _REPS:
             raise RepresentationError(f"rep must be one of {_REPS}, got {rep!r}")
-        arr = np.asarray(samples, dtype=np.complex128)
+        arr = np.asarray(samples, dtype=np.complex128, order="C")
         if arr.shape != grid.shape:
             raise DomainError(f"samples shape {arr.shape} does not match grid {grid.shape}")
         if not np.all(np.isfinite(arr.view(np.float64))):
             raise DomainError("field samples must be finite")
-        arr = arr.copy()
+        if arr is samples or arr.base is not None:  # the caller's buffer
+            arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "samples", arr)
@@ -278,20 +283,75 @@ def _inverse_scale(g: Grid) -> float:
     return (math.sqrt(2.0 * math.pi) / g.dx) ** g.dim
 
 
+# Fewer points than this keep the full-grid FFTs even when the array is
+# even: measured per call, a Strang step on the sector breaks even at
+# 64^2 and 16^3 (the crossover table is in CHANGES.md).
+_SECTOR_FLOOR = 4096
+
+
+def _block(a: np.ndarray) -> np.ndarray:
+    """The ``[0, n/2]^d`` block of ``a``, a view."""
+    return a[(slice(0, a.shape[0] // 2 + 1),) * a.ndim]
+
+
+def _sector(a: np.ndarray) -> np.ndarray | None:
+    """The ``[0, n/2]^d`` block of ``a`` when ``a`` has at least
+    ``_SECTOR_FLOOR`` points and is even in every axis, else ``None``.
+
+    Even means ``a[j] = a[n-j]`` along each axis.  The reflection fixes
+    slots 0 and n/2 in both storage orders (``x = -L/2, 0`` physical,
+    ``m = 0, -n/2`` in frequency), so the test and the block are the same
+    for either representation, and the array's DFT is the type-I DCT of
+    its block (Swarztrauber, Math. Comp. 47, 1986).
+    """
+    if a.size < _SECTOR_FLOOR:
+        return None
+    n, half = a.shape[0], a.shape[0] // 2
+    for axis in range(a.ndim):
+        lead = (slice(None),) * axis
+        if not np.array_equal(a[lead + (slice(1, half),)], a[lead + (slice(n - 1, half, -1),)]):
+            return None
+    return _block(a)
+
+
+def _unfold(block: np.ndarray, n: int) -> np.ndarray:
+    """The even array on ``n`` points per axis whose ``[0, n/2]^d`` block is
+    ``block``, by reflection ``a[n-j] = a[j]`` along each axis."""
+    half, dim = n // 2, block.ndim
+    out = np.empty((n,) * dim, dtype=block.dtype)
+    _block(out)[...] = block
+    for axis in range(dim):
+        lead, rest = (slice(None),) * axis, (slice(0, half + 1),) * (dim - axis - 1)
+        out[lead + (slice(half + 1, n),) + rest] = out[lead + (slice(half - 1, 0, -1),) + rest]
+    return out
+
+
 def forward_transform(f: Field) -> Field:
     """Physical samples to frequency samples of the continuum transform."""
     _require_rep(f, PHYSICAL, "forward_transform")
     g = f.grid
-    spec = _checkerboard(g) * _fft.fftn(f.samples)
-    return Field(g, _forward_scale(g) * spec, FREQUENCY)
+    sector = _sector(f.samples)
+    if sector is None:
+        spec = _checkerboard(g) * _fft.fftn(f.samples)
+        return Field(g, _forward_scale(g) * spec, FREQUENCY)
+    # Reversed, the block runs over x = 0..L/2 from the box centre, so its
+    # DCT-I is the box-phase spectrum and no checkerboard is needed.
+    spec = _fft.dctn(np.flip(sector), type=1)
+    spec *= _forward_scale(g)
+    return Field(g, _unfold(spec, g.points), FREQUENCY)
 
 
 def inverse_transform(f: Field) -> Field:
     """Frequency samples back to physical samples; inverse of :func:`forward_transform`."""
     _require_rep(f, FREQUENCY, "inverse_transform")
     g = f.grid
-    phys = _fft.ifftn(_checkerboard(g) * f.samples)
-    return Field(g, _inverse_scale(g) * phys, PHYSICAL)
+    sector = _sector(f.samples)
+    if sector is None:
+        phys = _fft.ifftn(_checkerboard(g) * f.samples)
+        return Field(g, _inverse_scale(g) * phys, PHYSICAL)
+    phys = _fft.dctn(sector, type=1)
+    phys *= _inverse_scale(g) / g.size
+    return Field(g, _unfold(np.flip(phys), g.points), PHYSICAL)
 
 
 def _map_spectrum(f: Field, fn) -> Field:
@@ -339,14 +399,34 @@ def _padded_product(f: Field, factors: int, pointwise) -> np.ndarray:
     formed on the padded grid from the band ``[-n/2+1, n/2-1]`` of ``f`` and
     truncated back to that band.
 
-    Both grid scales are applied on the band.  The box-phase
+    Both grid scales are applied on the band.  An even ``f`` runs on the
+    ``[0, n/2]^d`` blocks of both grids, in box phase as in
+    :func:`forward_transform`; there the ``-n/2`` planes are the last slot
+    of each axis and are simply not copied.  Otherwise the box-phase
     checkerboards of the two grids agree on every kept mode (both sizes
     are even), so they cancel and are never formed on the padded grid;
     and a real product's truncated spectrum is Hermitian, so it is
     inverted from its half spectrum and its samples are real.
     """
     g = f.grid
+    half = g.points // 2
     fine, band, halfband = _padding(g, factors)
+    sector = _sector(f.samples)
+    if sector is not None:
+        scale_in = _inverse_scale(fine) / fine.size
+        kept = (slice(0, half),) * g.dim
+        if f.is_physical:
+            coarse = _fft.dctn(np.flip(sector), type=1)[kept]
+            coarse *= _forward_scale(g) * scale_in
+        else:
+            coarse = scale_in * sector[kept]
+        spec = np.zeros((fine.points // 2 + 1,) * g.dim, dtype=coarse.dtype)
+        spec[kept] = coarse
+        w = pointwise(_fft.dctn(spec, type=1, overwrite_x=True))
+        prod = np.zeros((half + 1,) * g.dim, dtype=w.dtype)
+        scale_out = _forward_scale(fine) * _inverse_scale(g) / g.size
+        prod[kept] = scale_out * _fft.dctn(w, type=1, overwrite_x=True)[kept]
+        return _unfold(np.flip(_fft.dctn(prod, type=1, overwrite_x=True)), g.points)
     from_phys, from_freq, to_full, to_half = _band_factors(g, factors)
     spec = np.zeros(fine.shape, dtype=np.complex128)
     if f.is_physical:

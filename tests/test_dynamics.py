@@ -31,6 +31,7 @@ from nlsbox import (
     strang_step,
     write_checkpoint,
 )
+from nlsbox.spectral import _SECTOR_FLOOR
 from oracles import random_field
 
 
@@ -258,6 +259,36 @@ class TestRepresentation:
             assert all(u.rep == "physical" for _, u in traj)
 
 
+class TestLatticeSymmetry:
+    # A resolved Gaussian on 16^3 does not fit its box; the marginal
+    # resolution is beside the point here.
+    @pytest.mark.filterwarnings("ignore::nlsbox.errors.UndersamplingWarning")
+    @pytest.mark.parametrize("dim,extent,points,width,k", [
+        (2, 32.0, 64, 2.0, 2),
+        (3, 10.0, 16, 3.2, 1),
+        (2, 16.0, 32, 2.0, 1),
+    ], ids=["64^2_sector", "16^3_sector", "32^2_fft"])
+    def test_dealiased_evolve_keeps_radial_data_symmetric(self, dim, extent, points, width, k):
+        # Radial data are even in every axis and invariant under axis swaps;
+        # the dealiased flow must keep both to rounding, on the even-sector
+        # path (64^2, 16^3) and on the full-grid path below its floor (32^2).
+        grid = Grid(dim, extent, points)
+        assert (grid.size >= _SECTOR_FLOOR) == (points != 32)
+        params = EvolutionParams(dim, k, 1e-3, 0.02, sample_every=20)
+        s = evolve(gaussian(grid, 1.5, width), params).final.samples
+        images = [np.roll(np.flip(s, axis), 1, axis) for axis in range(dim)]
+        images.append(np.swapaxes(s, 0, 1))
+        defect = max(np.abs(s - image).max() for image in images)
+        assert defect <= 1e-12 * np.abs(s).max()
+
+    def test_sector_run_repeats_bitwise(self):
+        grid = Grid(2, 32.0, 64)
+        params = EvolutionParams(2, 2, 1e-3, 0.01, sample_every=5)
+        runs = [evolve(gaussian(grid, 1.5, 2.0), params) for _ in range(2)]
+        for (_, a), (_, b) in zip(*runs):
+            assert a.samples.tobytes() == b.samples.tobytes()
+
+
 class TestConservation:
     def test_mass_is_conserved_to_rounding(self):
         grid = Grid(2, 16.0, 64)
@@ -328,8 +359,10 @@ class TestGuards:
         with pytest.raises(InstabilityError):
             evolve(f, EvolutionParams(2, 2, 0.01, 0.02))
 
-    def test_instability_names_the_first_step_between_samples(self):
-        grid = Grid(2, 16.0, 16)
+    # A constant field is even, so 64^2 runs on the [0, n/2]^d block.
+    @pytest.mark.parametrize("points", [16, 64])
+    def test_instability_names_the_first_step_between_samples(self, points):
+        grid = Grid(2, 16.0, points)
         f = Field.physical(grid, np.full(grid.shape, 1e200 + 0j))
         with pytest.raises(InstabilityError, match=r"near t=0\.01$"):
             evolve(f, EvolutionParams(2, 2, 0.01, 0.1, sample_every=5))

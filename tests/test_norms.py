@@ -234,6 +234,9 @@ class TestAdmissibility:
     def test_validation(self):
         with pytest.raises(DomainError):
             strichartz_admissible(0.5, 4.0, 2)
+        for p, q in ((math.nan, 4.0), (4.0, math.nan)):
+            with pytest.raises(DomainError):
+                strichartz_admissible(p, q, 2)
         with pytest.raises(DomainError):
             strichartz_admissible(4.0, 4.0, 4)
 

@@ -21,12 +21,14 @@ from nlsbox import (
     dealiased_power,
     forward_transform,
     inverse_transform,
+    linear_flow,
     make_radial_data,
     read_field,
     smooth_cutoff,
     tail_mass_fraction,
     write_field,
 )
+from nlsbox import spectral
 from oracles import (
     band_restrict,
     coefficients_to_spectrum,
@@ -38,6 +40,10 @@ from oracles import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+def rel_error(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
 
 
 class TestGrid:
@@ -78,12 +84,6 @@ class TestGrid:
         assert xi[1] == pytest.approx(g.freq_step)
         assert xi[8] == pytest.approx(-8 * g.freq_step)
 
-    def test_padded(self):
-        g = Grid(2, 16.0, 16)
-        p = g.padded(3)
-        assert p.points == 48 and p.extent == g.extent
-        assert p.freq_step == pytest.approx(g.freq_step)
-
 
 class TestField:
     def test_immutable(self, grid2d_small):
@@ -98,6 +98,22 @@ class TestField:
         f = Field.physical(grid2d_small, raw)
         raw[0, 0] = 5.0
         assert f.samples[0, 0] == 1.0
+
+    @pytest.mark.parametrize("layout", ["complex", "buffer", "float", "float_fortran", "list"])
+    def test_never_aliases_and_keeps_values(self, grid2d_small, layout):
+        values = np.arange(grid2d_small.size, dtype=float).reshape(grid2d_small.shape)
+        raw = {
+            "complex": values.astype(complex),
+            "buffer": memoryview(values.astype(complex)),
+            "float": values,
+            "float_fortran": np.asfortranarray(values),
+            "list": values.tolist(),
+        }[layout]
+        f = Field.physical(grid2d_small, raw)
+        assert np.array_equal(f.samples, values)
+        assert f.samples.dtype == np.complex128 and f.samples.flags.c_contiguous
+        if layout != "list":
+            assert not np.shares_memory(f.samples, np.asarray(raw))
 
     def test_validation(self, grid2d_small):
         with pytest.raises(DomainError):
@@ -255,6 +271,81 @@ class TestDealiasedProducts:
         w = dealiased_modulus_power(Field.physical(grid, samples), 2)
         assert np.abs(w.samples - 1.0).max() <= 1e-13
         assert np.abs(w.samples.imag).max() <= 1e-14
+
+
+def full_grid_transforms(grid: Grid):
+    """Forward and inverse transform of the spectral module, written with ``np.fft``."""
+    checker = (-1.0) ** np.indices(grid.shape).sum(axis=0)
+    scale = (grid.dx / math.sqrt(TWO_PI)) ** grid.dim
+    return (lambda u: scale * checker * np.fft.fftn(u)), (lambda s: np.fft.ifftn(checker * s) / scale)
+
+
+def full_grid_product(u: np.ndarray, factors: int, pointwise) -> np.ndarray:
+    """Alias-free ``pointwise(u)`` with ``np.fft`` on the full lattice: the band
+    ``[-n/2+1, n/2-1]`` of ``u`` zero padded to ``(m+1)n/2`` points per axis,
+    rounded up to even, and the product truncated to the same band."""
+    n, d = u.shape[0], u.ndim
+    fine = 2 * -(-(factors + 1) * n // 4)
+    centre = (slice(fine // 2 - n // 2 + 1, fine // 2 + n // 2),) * d
+    inner = (slice(1, n),) * d
+    padded = np.zeros((fine,) * d, dtype=complex)
+    padded[centre] = np.fft.fftshift(np.fft.fftn(u))[inner]
+    w = pointwise(np.fft.ifftn(np.fft.ifftshift(padded)) * (fine / n) ** d)
+    prod = np.zeros((n,) * d, dtype=complex)
+    prod[inner] = np.fft.fftshift(np.fft.fftn(w))[centre] * (n / fine) ** d
+    return np.fft.ifftn(np.fft.ifftshift(prod))
+
+
+class TestEvenSector:
+    """Even data above the size floor take type-I DCTs of the ``[0, n/2]^d``
+    block; the results must agree with the full-grid FFTs to rounding."""
+
+    @staticmethod
+    def even_field(grid):
+        # Radial data after a free flow: complex, and even in every axis.
+        datum = make_radial_data(grid, RadialProfile("gaussian", 1.2, 4.0 * grid.dx))
+        return linear_flow(datum, 0.3)
+
+    @pytest.mark.parametrize("grid", [Grid(2, 16.0, 64), Grid(3, 8.0, 16)], ids=["2d", "3d"])
+    def test_sector_matches_full_grid_fft(self, grid):
+        assert grid.size >= spectral._SECTOR_FLOOR
+        u = self.even_field(grid)
+        spec = u.as_frequency()
+        forward, inverse = full_grid_transforms(grid)
+        assert rel_error(forward_transform(u).samples, forward(u.samples)) <= 1e-12
+        assert rel_error(inverse_transform(spec).samples, inverse(spec.samples)) <= 1e-12
+        for f in (u, spec):
+            got = dealiased_modulus_power(f, 4).samples
+            want = full_grid_product(u.samples, 4, lambda w: np.abs(w) ** 4)
+            assert rel_error(got, want) <= 1e-12
+            got = dealiased_power(f, 3).as_physical().samples
+            want = full_grid_product(u.samples, 3, lambda w: np.abs(w) ** 2 * w)
+            assert rel_error(got, want) <= 1e-12
+
+    @staticmethod
+    def transforms_called(monkeypatch, calls):
+        for name in ("dctn", "fftn", "ifftn", "rfftn", "irfftn"):
+            def counted(*args, _name=name, _fn=getattr(spectral._fft, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(spectral._fft, name, counted)
+
+    @pytest.mark.parametrize("grid,radial,sector", [
+        (Grid(2, 16.0, 64), True, True),
+        (Grid(3, 8.0, 16), True, True),
+        (Grid(2, 16.0, 32), True, False),
+        (Grid(2, 16.0, 64), False, False),
+    ], ids=["radial_64^2", "radial_16^3", "radial_32^2", "random_64^2"])
+    def test_path_taken(self, monkeypatch, grid, radial, sector):
+        u = self.even_field(grid) if radial else random_field(grid, seed=8)
+        spec = u.as_frequency()
+        calls = []
+        self.transforms_called(monkeypatch, calls)
+        forward_transform(u)
+        inverse_transform(spec)
+        dealiased_modulus_power(spec, 2)
+        dealiased_power(u, 3)
+        assert calls and all((name == "dctn") == sector for name in calls)
 
 
 class TestRadialData:
