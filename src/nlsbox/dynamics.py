@@ -41,7 +41,6 @@ from .spectral import (
 __all__ = [
     "EvolutionParams",
     "Trajectory",
-    "default_dt",
     "energy",
     "evolve",
     "linear_flow",
@@ -201,11 +200,6 @@ def strang_step(f: Field, params: EvolutionParams) -> Field:
             return linear_flow(u, half)
     except DomainError as exc:
         raise InstabilityError(f"step produced a non-finite field ({exc})") from exc
-
-
-def default_dt(grid: Grid) -> float:
-    """Conservative step size 0.5 dx^2 matching the spatial resolution."""
-    return 0.5 * grid.dx**2
 
 
 def _tail_fraction(f: Field) -> float:

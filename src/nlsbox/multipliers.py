@@ -32,7 +32,6 @@ __all__ = [
     "i_operator_symbol",
     "fractional_derivative",
     "smooth_cutoff",
-    "symbol_to_csv",
 ]
 
 _LOG2 = math.log(2.0)
@@ -227,13 +226,3 @@ def fractional_derivative(f: Field, s: float, inhomogeneous: bool = False) -> Fi
     ``s = 0`` is the identity.
     """
     return f if s == 0.0 else apply_symbol(f, _sobolev_symbol(s, inhomogeneous))
-
-
-def symbol_to_csv(symbol: RadialSymbol, r_values: np.ndarray, path) -> None:
-    """Tabulate a symbol as ``r,m`` rows for plotting."""
-    r = np.asarray(r_values, dtype=np.float64)
-    vals = symbol(r)
-    with open(path, "w") as fh:
-        fh.write("r,m\n")
-        for ri, mi in zip(r, vals):
-            fh.write(f"{float(ri)!r},{float(mi)!r}\n")

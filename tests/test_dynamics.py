@@ -19,7 +19,6 @@ from nlsbox import (
     RadialProfile,
     Trajectory,
     UndersamplingWarning,
-    default_dt,
     energy,
     evolve,
     linear_flow,
@@ -79,9 +78,6 @@ class TestParams:
         with pytest.raises(DomainError):
             EvolutionParams(2, 1, 0.01, 0.095)
         assert EvolutionParams(2, 1, 0.01, 0.1).step_count() == 10
-
-    def test_default_dt(self):
-        assert default_dt(Grid(2, 64.0, 256)) == pytest.approx(0.03125, rel=1e-15)
 
 
 class TestLinearFlow:

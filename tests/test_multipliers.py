@@ -22,7 +22,6 @@ from nlsbox import (
     low_pass,
     lp_project,
     smooth_cutoff,
-    symbol_to_csv,
 )
 from oracles import random_field
 
@@ -209,17 +208,6 @@ class TestSmoothingSymbol:
             apply_symbol(f, i_operator_symbol(0.5 * grid.nyquist, 0.7))
         out = apply_symbol(f, i_operator_symbol(0.45 * grid.nyquist, 0.7))
         assert out.rep == f.rep
-
-    def test_csv_export(self, tmp_path):
-        m = i_operator_symbol(2.0, 0.7)
-        path = tmp_path / "symbol.csv"
-        symbol_to_csv(m, np.array([0.0, 2.0, 8.0]), path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "r,m"
-        assert lines[1] == "0.0,1.0"
-        r, val = lines[2].split(",")
-        assert float(r) == 2.0 and float(val) == 1.0
-        assert abs(float(lines[3].split(",")[1]) - 4.0 ** (0.7 - 1.0)) <= 1e-14
 
 
 class TestFractionalDerivative:

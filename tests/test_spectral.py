@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nlsbox import (
     DomainError,
+    EvolutionParams,
     Field,
     Grid,
     RadialProfile,
@@ -19,6 +21,7 @@ from nlsbox import (
     apply_symbol,
     dealiased_modulus_power,
     dealiased_power,
+    evolve,
     forward_transform,
     inverse_transform,
     linear_flow,
@@ -488,6 +491,82 @@ class TestSerialization:
             "0.0 0.1",
         ]
         assert rows[8:] == rows[:8]
+
+    @staticmethod
+    def reference_bytes(f):
+        # The file format spelled out row by row, one repr per float.
+        g = f.grid
+        text = f"{g.dim} {g.points} {g.extent!r} {f.rep}\n"
+        rows = (f"{float(z.real)!r} {float(z.imag)!r}\n" for z in f.samples.reshape(-1))
+        return (text + "".join(rows)).encode()
+
+    @staticmethod
+    def even_by_value_odd_by_sign():
+        a = np.zeros((64, 64), dtype=np.complex128)
+        a[3, 0], a[61, 0] = 0.0, -0.0
+        return Field.physical(Grid(2, 16.0, 64), a)
+
+    @staticmethod
+    def evolved_sample():
+        datum = make_radial_data(Grid(2, 16.0, 64), RadialProfile("gaussian", 1.2, 1.0))
+        return evolve(datum, EvolutionParams(2, 1, 0.01, 0.04)).fields[-1]
+
+    @pytest.mark.parametrize("case,rep,block", [
+        (case, rep, block)
+        for case, block in [("radial_64^2", True), ("radial_256^2", True), ("radial_16^3", True),
+                            ("evolved_64^2", True), ("random_64^2", False), ("radial_32^2", False)]
+        for rep in ("physical", "frequency")
+    ] + [("even_by_value_odd_by_sign_64^2", "physical", False)])
+    def test_bytes_match_reference_writer(self, monkeypatch, tmp_path, case, rep, block):
+        grids = {"64^2": Grid(2, 16.0, 64), "256^2": Grid(2, 32.0, 256),
+                 "16^3": Grid(3, 8.0, 16), "32^2": Grid(2, 16.0, 32)}
+        size = case.rsplit("_", 1)[1]
+        if case.startswith("radial"):
+            f = TestEvenSector.even_field(grids[size])
+        elif case.startswith("evolved"):
+            f = self.evolved_sample()
+        elif case.startswith("random"):
+            f = random_field(grids[size], seed=5)
+        else:
+            f = self.even_by_value_odd_by_sign()
+        f = f.as_frequency() if rep == "frequency" else f.as_physical()
+        formatted = []
+
+        def counted(a, _rows=spectral._rows):
+            formatted.append(a.size)
+            return _rows(a)
+
+        monkeypatch.setattr(spectral, "_rows", counted)
+        path = tmp_path / "state.field"
+        write_field(f, path)
+        assert path.read_bytes() == self.reference_bytes(f)
+        half = f.grid.points // 2 + 1
+        assert formatted == [half**f.grid.dim if block else f.grid.size]
+        assert read_field(path).samples.tobytes() == f.samples.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(values=hnp.arrays(
+        np.float64, (33, 33, 2),
+        elements=st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+        | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+    ))
+    def test_unfolded_block_roundtrip(self, tmp_path_factory, values):
+        samples = spectral._unfold(values.view(np.complex128)[..., 0], 64)
+        f = Field.physical(Grid(2, 16.0, 64), samples)
+        path = tmp_path_factory.mktemp("unfold") / "state.field"
+        write_field(f, path)
+        assert path.read_bytes() == self.reference_bytes(f)
+        assert read_field(path).samples.tobytes() == f.samples.tobytes()
+
+    def test_signed_zeros_roundtrip(self, tmp_path):
+        samples = np.ones(16, dtype=np.complex128)
+        for i, (re, im) in enumerate([(-0.0, 0.0), (0.0, -0.0), (1.0, -0.0), (-0.0, -0.0)]):
+            samples.real[i], samples.imag[i] = re, im
+        f = Field.frequency(Grid(2, 16.0, 4), samples.reshape(4, 4))
+        path = tmp_path / "state.field"
+        write_field(f, path)
+        assert path.read_text().splitlines()[1:5] == ["-0.0 0.0", "0.0 -0.0", "1.0 -0.0", "-0.0 -0.0"]
+        assert read_field(path).samples.tobytes() == f.samples.tobytes()
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.field"
