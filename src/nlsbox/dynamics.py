@@ -23,8 +23,10 @@ from .errors import (
     DomainError,
     InstabilityError,
     UndersamplingWarning,
-    _require_k,
+    _require_count,
+    _require_equation,
     _require_real,
+    _require_same_dim,
 )
 from .multipliers import _sobolev_symbol
 from .spectral import (
@@ -73,19 +75,13 @@ class EvolutionParams:
     dealias: bool = True
 
     def __post_init__(self) -> None:
-        if type(self.dim) is not int or self.dim not in (2, 3):
-            raise DomainError(f"dim must be 2 or 3, got {self.dim!r}")
+        _require_equation(self.dim, self.k)
         if type(self.dealias) is not bool:
             raise DomainError(f"dealias must be True or False, got {self.dealias!r}")
-        _require_k(self.k)
-        if self.dim == 3 and self.k != 1:
-            raise DomainError("three dimensional runs support the cubic case only")
         for name in ("dt", "t_final"):
             value = _require_real(name, getattr(self, name), positive=True)
             object.__setattr__(self, name, value)
-        every = self.sample_every
-        if not isinstance(every, int) or isinstance(every, bool) or every < 1:
-            raise DomainError(f"sample_every must be a positive integer, got {every!r}")
+        _require_count("sample_every", self.sample_every)
         steps = round(self.t_final / self.dt)
         if steps < 1 or abs(steps * self.dt - self.t_final) > 1e-9 * max(1.0, self.t_final):
             raise DomainError(
@@ -112,15 +108,11 @@ class Trajectory:
     warnings: tuple = ()
 
     def __post_init__(self) -> None:
-        samples = tuple((float(t), f) for t, f in self.samples)
+        samples = tuple(_sample_list(self.samples))
         if not samples:
             raise DomainError("a trajectory needs at least one sample")
-        for _, f in samples:
-            if not isinstance(f, Field) or f.grid != samples[0][1].grid:
-                raise DomainError("all samples must be fields on a single grid")
-        times = [t for t, _ in samples]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise DomainError("sample times must be strictly increasing")
+        if any(f.grid != samples[0][1].grid for _, f in samples):
+            raise DomainError("all samples must be fields on a single grid")
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "warnings", tuple(str(w) for w in self.warnings))
 
@@ -145,6 +137,20 @@ class Trajectory:
 
     def __iter__(self):
         return iter(self.samples)
+
+
+def _sample_list(traj, statistic: str = "") -> list[tuple[float, Field]]:
+    """``(time, Field)`` pairs of a trajectory or of a raw sample sequence,
+    in strictly increasing time; a named ``statistic`` needs two or more."""
+    samples = getattr(traj, "samples", traj)
+    out = [(float(t), f) for t, f in samples]
+    if not all(isinstance(f, Field) for _, f in out):
+        raise DomainError("trajectory samples must be (time, Field) pairs")
+    if any(t1 <= t0 for (t0, _), (t1, _) in zip(out, out[1:])):
+        raise DomainError("trajectory samples must have strictly increasing times")
+    if statistic and len(out) < 2:
+        raise DomainError(f"{statistic} needs at least two samples")
+    return out
 
 
 @lru_cache(maxsize=4)
@@ -174,7 +180,7 @@ def nonlinear_phase(f: Field, dt: float, k: int, dealias: bool = True) -> Field:
     preserved.
     """
     dt = _require_real("dt", dt)
-    _require_k(k)
+    _require_count("k", k)
     u = f.as_physical()
     if dealias:
         w = dealiased_modulus_power(f, 2 * k).samples.real
@@ -186,10 +192,7 @@ def nonlinear_phase(f: Field, dt: float, k: int, dealias: bool = True) -> Field:
 
 def strang_step(f: Field, params: EvolutionParams) -> Field:
     """One step of L(dt/2) N(dt) L(dt/2), in the representation of the input."""
-    if f.grid.dim != params.dim:
-        raise DomainError(
-            f"field lives in {f.grid.dim} dimensions but params ask for {params.dim}"
-        )
+    _require_same_dim("field", f.grid.dim, params.dim)
     half = 0.5 * params.dt
     try:
         # Overflow here means the run is blowing up; the resulting
@@ -242,11 +245,7 @@ def evolve(initial: Field, params: EvolutionParams) -> Trajectory:
     """
     if not isinstance(initial, Field):
         raise DomainError(f"initial data must be a Field, got {type(initial).__name__}")
-    if initial.grid.dim != params.dim:
-        raise DomainError(
-            f"initial data lives in {initial.grid.dim} dimensions "
-            f"but params ask for {params.dim}"
-        )
+    _require_same_dim("initial data", initial.grid.dim, params.dim)
     u, spec = initial.as_physical(), initial.as_frequency()
     steps = params.step_count()
     peak0 = float(np.max(np.abs(u.samples)))
@@ -285,7 +284,7 @@ def energy(f: Field, k: int) -> float:
     physical lattice.  Both terms are nonnegative, so the defocusing
     energy controls the H1 size of the field.
     """
-    _require_k(k)
+    _require_count("k", k)
     spec = f.as_frequency()
     w = _radial(f.grid, _sobolev_symbol(2.0))
     kinetic = 0.5 * float(np.sum(w * np.abs(spec.samples) ** 2)) * f.grid.freq_cell_volume

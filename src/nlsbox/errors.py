@@ -53,11 +53,37 @@ class UndersamplingWarning(UserWarning):
     """A time series is too coarsely sampled for the statistic computed from it."""
 
 
-def _require_k(k) -> int:
-    """The nonlinearity index ``k`` of ``|u|^(2k) u``, a positive integer."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise DomainError(f"k must be a positive integer, got {k!r}")
-    return k
+def _require_dim(dim) -> int:
+    """A spatial dimension: the integer 2 or 3."""
+    if type(dim) is not int or dim not in (2, 3):
+        raise DomainError(f"dim must be 2 or 3, got {dim!r}")
+    return dim
+
+
+def _require_count(name: str, value) -> int:
+    """``value`` if it is a positive integer; booleans are rejected."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise DomainError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
+def _require_equation(dim, k) -> None:
+    """``|u|^(2k) u`` in ``dim`` dimensions: any ``k`` in 2d, cubic in 3d."""
+    _require_dim(dim)
+    if _require_count("k", k) != 1 and dim == 3:
+        raise DomainError("three dimensional runs support the cubic case only")
+
+
+def _require_exponent(name: str, value) -> None:
+    """A Lebesgue exponent, at least 1 (``inf`` included, NaN rejected)."""
+    if not value >= 1.0:  # false for NaN, too
+        raise DomainError(f"{name} must be >= 1, got {value!r}")
+
+
+def _require_same_dim(what: str, dim: int, requested: int) -> None:
+    """A field or trajectory of dimension ``dim`` where ``requested`` is asked for."""
+    if dim != requested:
+        raise DomainError(f"{what} lives in {dim} dimensions but {requested} are requested")
 
 
 def _require_real(name: str, value, positive: bool = False) -> float:

@@ -12,42 +12,27 @@ import configparser
 from dataclasses import dataclass
 
 from ..dynamics import EvolutionParams
-from ..errors import ConfigError, DomainError
+from ..errors import ConfigError, DomainError, _require_count
 from ..spectral import Grid, RadialProfile
 
 __all__ = ["STUDY_NAMES", "StudyConfig", "load_config"]
 
-STUDY_NAMES = ("sweep-n", "conserve", "inequalities", "morawetz", "scatter")
+_COMMON = {"study": ("name", "seed"), "grid": ("dim", "extent", "points")}
+_EVOLUTION = ("k", "dt", "t_final", "sample_every", "dealias", "nonlinearity")
+_DATUM = ("kind", "amplitude", "width")
 
-# Sections each study reads, beyond the mandatory [study] and [grid].
-_REQUIRED_SECTIONS = {
-    "sweep-n": ("evolution", "imethod", "datum"),
-    "conserve": ("evolution", "datum"),
-    "inequalities": ("imethod",),
-    "morawetz": ("evolution",),
-    "scatter": ("evolution", "imethod", "datum"),
+# study -> {section: keys the study reads there}.  Every section listed is
+# required except [corpus]; any other section or key is rejected.
+_LAYOUT = {
+    "sweep-n": {
+        **_COMMON, "evolution": _EVOLUTION, "imethod": ("s", "n_list"), "datum": _DATUM
+    },
+    "conserve": {**_COMMON, "evolution": _EVOLUTION, "datum": _DATUM},
+    "inequalities": {**_COMMON, "imethod": ("s", "n"), "corpus": ("count",)},
+    "morawetz": {**_COMMON, "evolution": _EVOLUTION},
+    "scatter": {**_COMMON, "evolution": _EVOLUTION, "imethod": ("s",), "datum": _DATUM},
 }
-_OPTIONAL_SECTIONS = {
-    "inequalities": ("corpus",),
-}
-
-_KEYS = {
-    "study": frozenset({"name", "seed"}),
-    "grid": frozenset({"dim", "extent", "points"}),
-    "evolution": frozenset(
-        {"k", "dt", "t_final", "sample_every", "dealias", "nonlinearity"}
-    ),
-    "imethod": frozenset({"s", "n", "n_list"}),
-    "datum": frozenset({"kind", "amplitude", "width"}),
-    "corpus": frozenset({"count"}),
-}
-
-# Which [imethod] keys each study that has the section actually consumes.
-_IMETHOD_KEYS = {
-    "sweep-n": frozenset({"s", "n_list"}),
-    "inequalities": frozenset({"s", "n"}),
-    "scatter": frozenset({"s"}),
-}
+STUDY_NAMES = tuple(_LAYOUT)
 
 
 @dataclass(frozen=True)
@@ -88,23 +73,21 @@ def _boolean(section: str, key: str, raw: str) -> bool:
         ) from None
 
 
-def _check_sections(parser: configparser.ConfigParser, name: str) -> None:
+def _check_layout(parser: configparser.ConfigParser, name: str) -> None:
+    layout = _LAYOUT[name]
     present = set(parser.sections())
-    required = {"study", "grid"} | set(_REQUIRED_SECTIONS[name])
-    optional = set(_OPTIONAL_SECTIONS.get(name, ()))
-    missing = required - present
+    missing = set(layout) - present - {"corpus"}
     if missing:
         raise ConfigError(f"study {name!r} needs section(s) {sorted(missing)}")
-    unknown = present - required - optional
+    unknown = present - set(layout)
     if unknown:
         raise ConfigError(f"study {name!r} does not read section(s) {sorted(unknown)}")
-
-
-def _check_keys(parser: configparser.ConfigParser) -> None:
     for section in parser.sections():
-        extra = set(parser[section]) - _KEYS[section]
+        extra = set(parser[section]) - set(layout[section])
         if extra:
-            raise ConfigError(f"unknown key(s) {sorted(extra)} in [{section}]")
+            raise ConfigError(
+                f"study {name!r} does not read key(s) {sorted(extra)} in [{section}]"
+            )
 
 
 def _parse_grid(section) -> Grid:
@@ -146,20 +129,12 @@ def _parse_evolution(section, grid: Grid) -> EvolutionParams:
 
 
 def _parse_mode_count(key: str, raw: str) -> int:
-    n = _value("imethod", key, raw, int)
-    if n < 1:
-        raise ConfigError(f"[imethod] {key} = {raw!r}: mode counts are >= 1")
-    return n
+    return _value("imethod", key, raw, lambda text: _require_count(key, int(text)))
 
 
 def _parse_imethod(section, name: str) -> dict:
-    wanted = _IMETHOD_KEYS[name]
-    extra = set(section) - wanted
-    if extra:
-        raise ConfigError(
-            f"study {name!r} does not read [imethod] key(s) {sorted(extra)}"
-        )
-    missing = wanted - set(section)
+    wanted = _LAYOUT[name]["imethod"]
+    missing = set(wanted) - set(section)
     if missing:
         raise ConfigError(f"[imethod] is missing {sorted(missing)} for study {name!r}")
     out: dict = {"s": _value("imethod", "s", section["s"], float)}
@@ -208,8 +183,7 @@ def load_config(path) -> StudyConfig:
     name = parser["study"]["name"].strip()
     if name not in STUDY_NAMES:
         raise ConfigError(f"unknown study {name!r}, expected one of {STUDY_NAMES}")
-    _check_sections(parser, name)
-    _check_keys(parser)
+    _check_layout(parser, name)
 
     seed = _value("study", "seed", parser["study"].get("seed", "0"), int)
     if seed < 0:

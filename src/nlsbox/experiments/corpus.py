@@ -20,25 +20,17 @@ def member_seed(base_seed: int, index: int) -> int:
     return base_seed * _SEED_STRIDE + index
 
 
-def radial_corpus(
-    grid: Grid,
-    count: int,
-    base_seed: int,
-    amplitude: float = 1.0,
-    width: float | None = None,
-) -> list[Field]:
-    """Radial superposition fields with per-member seeds.
+def radial_corpus(grid: Grid, count: int, base_seed: int) -> list[Field]:
+    """Radial superposition fields of unit amplitude with per-member seeds.
 
-    The default width is a tenth of the box, floored at four grid cells
-    so the samples stay resolved.
+    The width is a tenth of the box, floored at four grid cells so the
+    samples stay resolved.
     """
-    if width is None:
-        width = max(grid.extent / 10.0, 4.0 * grid.dx)
+    width = max(grid.extent / 10.0, 4.0 * grid.dx)
     fields = []
     for i in range(count):
         profile = RadialProfile(
             "random_radial_superposition",
-            amplitude=amplitude,
             width=width,
             seed=member_seed(base_seed, i),
         )
@@ -46,7 +38,7 @@ def radial_corpus(
     return fields
 
 
-def morawetz_families(grid: Grid, base_seed: int, amplitude: float = 1.0):
+def morawetz_families(grid: Grid, base_seed: int):
     """Five qualitatively different radial data families.
 
     Two Gaussians of different widths, a compactly supported bump, and
@@ -55,15 +47,14 @@ def morawetz_families(grid: Grid, base_seed: int, amplitude: float = 1.0):
     """
     w = max(grid.extent / 12.0, 4.0 * grid.dx)
     return (
-        ("gaussian_narrow", RadialProfile("gaussian", 1.6 * amplitude, w)),
-        ("gaussian_wide", RadialProfile("gaussian", 0.9 * amplitude, 2.0 * w)),
-        ("bump", RadialProfile("smooth_bump", 1.3 * amplitude, 1.5 * w)),
+        ("gaussian_narrow", RadialProfile("gaussian", 1.6, w)),
+        ("gaussian_wide", RadialProfile("gaussian", 0.9, 2.0 * w)),
+        ("bump", RadialProfile("smooth_bump", 1.3, 1.5 * w)),
         (
             "superposition_a",
             RadialProfile(
                 "random_radial_superposition",
-                amplitude,
-                1.2 * w,
+                width=1.2 * w,
                 seed=member_seed(base_seed, 1),
             ),
         ),
@@ -71,8 +62,7 @@ def morawetz_families(grid: Grid, base_seed: int, amplitude: float = 1.0):
             "superposition_b",
             RadialProfile(
                 "random_radial_superposition",
-                amplitude,
-                1.6 * w,
+                width=1.6 * w,
                 seed=member_seed(base_seed, 2),
             ),
         ),

@@ -10,12 +10,13 @@ byte.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 
 import numpy as np
 
-from ..dynamics import EvolutionParams, energy, evolve, linear_flow, mass
+from ..dynamics import energy, evolve, linear_flow, mass
 from ..errors import ConfigError, DomainError
 from ..imethod import IMethodConfig, increment_ledger, scattering_diagnostic
 from ..multipliers import (
@@ -33,6 +34,7 @@ from ..norms import (
     morawetz_quantity,
     sobolev_norm,
     strichartz_admissible,
+    weighted_radial_sup,
 )
 from ..spectral import Field, Grid, make_radial_data
 from .config import StudyConfig
@@ -138,13 +140,8 @@ def _conserve(cfg: StudyConfig, out_dir: str) -> StudyReport:
         list(zip(trajectory.times, energies)),
     )
 
-    halved = EvolutionParams(
-        dim=params.dim,
-        k=params.k,
-        dt=0.5 * params.dt,
-        t_final=params.t_final,
-        sample_every=2 * params.sample_every,
-        dealias=params.dealias,
+    halved = dataclasses.replace(
+        params, dt=0.5 * params.dt, sample_every=2 * params.sample_every
     )
     fine = evolve(datum, halved)
     mass_drift = _max_relative_drift(masses)
@@ -190,8 +187,7 @@ def _battery(cfg: StudyConfig):
     # local norms and sups are taken where the torus still approximates
     # free space.
     radius = grid.extent / 4.0
-    r = grid.space_radius()
-    inside = r <= radius
+    inside = grid.space_radius() <= radius
     times = [float(t) for t in np.linspace(0.0, 1.0, 17)]
     # The low split is Cauchy-Schwarz on the lattice, so its constant
     # never exceeds one.  The high split shares that bound whenever
@@ -241,7 +237,7 @@ def _battery(cfg: StudyConfig):
             / (2.0 ** (-0.5 * j) * math.sqrt(radius) * piece_l2),
         ]
         if grid.dim == 3:
-            sup = float((r[inside] * np.abs(piece_x.samples[inside])).max())
+            sup = weighted_radial_sup(piece_x, 1.0, radius)
             out.append(sup / sobolev_norm(piece, 0.5))
         # The free flow of the field, shared by the Strichartz pairs, sets
         # the peak memory; nothing else field-sized is held beside it.
@@ -254,21 +250,21 @@ def _battery(cfg: StudyConfig):
     return j, cutoff, cases, constants
 
 
-def _case_metrics(kind: str, constants: list[float]) -> dict:
+def _spread(constants: list[float], limit: float) -> dict:
+    """Max, median and max/median ratio of a family of constants; the family
+    passes when its max is finite and the ratio is at most ``limit``."""
     top = float(max(constants))
     mid = float(np.median(constants))
     ratio = top / mid if mid > 0 else math.inf
+    passed = math.isfinite(top) and ratio <= limit
+    return {"max": top, "median": mid, "stability_ratio": ratio, "passed": passed}
+
+
+def _case_metrics(kind: str, constants: list[float]) -> dict:
+    out = {"bound": kind, **_spread(constants, STABILITY_RATIO)}
     if kind == "sharp":
-        passed = math.isfinite(top) and top <= 1.0 + SHARP_SLACK
-    else:
-        passed = math.isfinite(top) and ratio <= STABILITY_RATIO
-    return {
-        "bound": kind,
-        "max": top,
-        "median": mid,
-        "stability_ratio": ratio,
-        "passed": passed,
-    }
+        out["passed"] = math.isfinite(out["max"]) and out["max"] <= 1.0 + SHARP_SLACK
+    return out
 
 
 def _inequalities(cfg: StudyConfig, out_dir: str) -> StudyReport:
@@ -311,18 +307,14 @@ def _morawetz(cfg: StudyConfig, out_dir: str) -> StudyReport:
         rows.append((name, quantity, bound, constant))
         constants.append(constant)
 
-    top = float(max(constants))
-    mid = float(np.median(constants))
-    ratio = top / mid if mid > 0 else math.inf
-    passed = math.isfinite(top) and ratio <= MORAWETZ_RATIO
+    spread = _spread(constants, MORAWETZ_RATIO)
+    passed = spread.pop("passed")
 
     write_rows(
         os.path.join(out_dir, "morawetz.csv"), "family,quantity,bound,constant", rows
     )
     metrics = {
-        "max": top,
-        "median": mid,
-        "stability_ratio": ratio,
+        **spread,
         "stability_ratio_limit": MORAWETZ_RATIO,
         "families": [row[0] for row in rows],
     }

@@ -22,17 +22,19 @@ import warnings as _warnings
 
 import numpy as np
 
-from .dynamics import energy, linear_flow
+from .dynamics import _sample_list, energy, linear_flow
 from .errors import (
     AtomicIntervalError,
     DomainError,
     ResolutionError,
     UndersamplingWarning,
-    _require_k,
+    _require_count,
+    _require_equation,
     _require_real,
+    _require_same_dim,
 )
 from .multipliers import apply_symbol, i_operator_symbol
-from .norms import DiagnosticSeries, _sample_list, lebesgue_norm, sobolev_norm
+from .norms import DiagnosticSeries, lebesgue_norm, sobolev_norm
 from .spectral import PHYSICAL, Field, Grid, dealiased_power
 
 __all__ = [
@@ -53,16 +55,14 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+# Halvings of the dilation factor tried before the search gives up.
+_MAX_HALVINGS = 60
+
 
 def critical_exponent(dim: int, k: int) -> float:
     """Scaling-critical Sobolev index: 1 - 1/k in 2d, 1/2 for the 3d cubic."""
-    if dim == 3:
-        if k != 1:
-            raise DomainError("three dimensional runs support the cubic case only")
-        return 0.5
-    if dim == 2:
-        return 1.0 - 1.0 / _require_k(k)
-    raise DomainError(f"dim must be 2 or 3, got {dim!r}")
+    _require_equation(dim, k)
+    return 0.5 if dim == 3 else 1.0 - 1.0 / k
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,20 +94,13 @@ class IMethodConfig:
         return critical_exponent(self.dim, self.k)
 
 
-def _check_dim(f: Field, cfg: IMethodConfig) -> None:
-    if f.grid.dim != cfg.dim:
-        raise DomainError(
-            f"field lives in {f.grid.dim} dimensions but the config asks for {cfg.dim}"
-        )
-
-
 def modified_energy(f: Field, cfg: IMethodConfig) -> float:
     """Energy of the smoothed field, E(I_{N,s} u).
 
     The smoothing symbol must be fully resolved, so the grid has to keep
     2N strictly below its Nyquist frequency.
     """
-    _check_dim(f, cfg)
+    _require_same_dim("field", f.grid.dim, cfg.dim)
     smoothed = apply_symbol(f, i_operator_symbol(cfg.N, cfg.s))
     return energy(smoothed, cfg.k)
 
@@ -125,7 +118,7 @@ def rescale(f: Field, lam: float, k: int) -> Field:
     if math.frexp(lam)[0] != 0.5:
         raise DomainError(f"lam must be a power of two, got {lam!r}")
     g = f.grid
-    alpha = 1.0 if g.dim == 3 else 1.0 / _require_k(k)
+    alpha = 1.0 if g.dim == 3 else 1.0 / _require_count("k", k)
     scaled_grid = Grid(g.dim, g.extent / lam, g.points)
     samples = lam**alpha * f.as_physical().samples
     return Field(scaled_grid, samples, PHYSICAL)
@@ -146,7 +139,6 @@ def choose_lambda(
     f: Field,
     cfg: IMethodConfig,
     threshold: float = 0.5,
-    max_halvings: int = 60,
 ) -> LambdaChoice:
     """Shrink the datum by powers of two until E(I u_lam) <= threshold.
 
@@ -156,10 +148,10 @@ def choose_lambda(
     target is met.  The accepted factor is logged next to the power law
     N^((s-1)/(s-s_c)) that scaling heuristics predict.
     """
-    _check_dim(f, cfg)
+    _require_same_dim("field", f.grid.dim, cfg.dim)
     _require_real("threshold", threshold, positive=True)
     lam = 1.0
-    for _ in range(max_halvings + 1):
+    for _ in range(_MAX_HALVINGS + 1):
         scaled = rescale(f, lam, cfg.k)
         try:
             value = modified_energy(scaled, cfg)
@@ -182,17 +174,17 @@ def choose_lambda(
             return LambdaChoice(lam, scaled, value, predicted)
         lam /= 2.0
     raise DomainError(
-        f"energy stayed above {threshold} after {max_halvings} halvings"
+        f"energy stayed above {threshold} after {_MAX_HALVINGS} halvings"
     )
 
 
-def _excitation_radius(f: Field, floor: float = 1e-13) -> float:
+def _excitation_radius(f: Field) -> float:
     spec = f.as_frequency()
     mag = np.abs(spec.samples)
     peak = float(mag.max())
     if peak == 0.0:
         return 0.0
-    mask = mag > floor * peak
+    mask = mag > 1e-13 * peak
     return float(f.grid.freq_radius()[mask].max())
 
 
@@ -205,7 +197,7 @@ def commutator(f: Field, cfg: IMethodConfig) -> Field:
     resolved band and the returned defect is its truncation; a warning
     flags that case.
     """
-    _check_dim(f, cfg)
+    _require_same_dim("field", f.grid.dim, cfg.dim)
     degree = 2 * cfg.k + 1
     rho = _excitation_radius(f)
     if degree * rho > f.grid.nyquist:
@@ -239,7 +231,7 @@ def vanishing_identity_check(f: Field, cfg: IMethodConfig) -> bool:
 
 def vanishing_constant(k: int) -> float:
     """Frequency fraction c(k) under which the defect provably vanishes."""
-    _require_k(k)
+    _require_count("k", k)
     return 0.125 if k == 1 else 1.0 / (2 * k + 2)
 
 
@@ -272,10 +264,8 @@ def increment_ledger(traj, cfg: IMethodConfig) -> IncrementLedger:
     disagreement of five percent or more raises an undersampling
     warning.
     """
-    pairs = _sample_list(traj)
-    if len(pairs) < 2:
-        raise DomainError("an increment ledger needs at least two samples")
-    _check_dim(pairs[0][1], cfg)
+    pairs = _sample_list(traj, "an increment ledger")
+    _require_same_dim("field", pairs[0][1].grid.dim, cfg.dim)
     times = [t for t, _ in pairs]
     values = [modified_energy(f, cfg) for _, f in pairs]
     total = _variation(values)
@@ -309,9 +299,7 @@ def interval_partition(traj, eta: float) -> tuple:
     atomic-interval error is raised.
     """
     _require_real("eta", eta, positive=True)
-    pairs = _sample_list(traj)
-    if len(pairs) < 2:
-        raise DomainError("a partition needs at least two samples")
+    pairs = _sample_list(traj, "a partition")
     dim = pairs[0][1].grid.dim
     p, q = _PARTITION_EXPONENTS[dim]
     times = [t for t, _ in pairs]
@@ -347,9 +335,7 @@ def scattering_diagnostic(traj, s: float) -> DiagnosticSeries:
     The series holds |v(t_i) - v(t_{i-1})|_{H^s} at the later time of
     each pair, with v the pullback.
     """
-    pairs = _sample_list(traj)
-    if len(pairs) < 2:
-        raise DomainError("a scattering diagnostic needs at least two samples")
+    pairs = _sample_list(traj, "a scattering diagnostic")
     pullbacks = [linear_flow(f, -t) for t, f in pairs]
     times = [t for t, _ in pairs]
     diffs = [

@@ -14,7 +14,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, _require_real
+from .dynamics import _sample_list
+from .errors import (
+    DomainError,
+    _require_dim,
+    _require_exponent,
+    _require_real,
+    _require_same_dim,
+)
 from .multipliers import _sobolev_symbol, fractional_derivative
 from .spectral import Field, _radial, dealiased_modulus_power
 
@@ -32,8 +39,7 @@ __all__ = [
 
 def lebesgue_norm(f: Field, p: float) -> float:
     """``L^p`` norm of the physical samples; ``p = inf`` gives the sup."""
-    if not p >= 1.0:  # false for NaN, too
-        raise DomainError(f"p must be >= 1, got {p}")
+    _require_exponent("p", p)
     mag = np.abs(f.as_physical().samples)
     if math.isinf(p):
         return float(mag.max())
@@ -64,23 +70,12 @@ class MixedNormSpec:
     t_end: float
 
     def __post_init__(self) -> None:
-        if not (self.p_time >= 1.0 and self.q_space >= 1.0):  # false for NaN, too
-            raise DomainError("mixed norm exponents must be >= 1")
+        _require_exponent("p_time", self.p_time)
+        _require_exponent("q_space", self.q_space)
         if not self.t_end > self.t_start:
             raise DomainError(
                 f"empty time window [{self.t_start}, {self.t_end}]"
             )
-
-
-def _sample_list(traj) -> list[tuple[float, Field]]:
-    """``(time, Field)`` pairs of a trajectory or of a raw sample sequence."""
-    samples = getattr(traj, "samples", traj)
-    out = [(float(t), f) for t, f in samples]
-    if not all(isinstance(f, Field) for _, f in out):
-        raise DomainError("trajectory samples must be (time, Field) pairs")
-    if any(t1 <= t0 for (t0, _), (t1, _) in zip(out, out[1:])):
-        raise DomainError("trajectory samples must have strictly increasing times")
-    return out
 
 
 def _window(samples: Sequence[tuple[float, Field]], t_start: float, t_end: float):
@@ -115,12 +110,8 @@ def morawetz_quantity(traj, dim: int) -> float:
     power.  In two dimensions the half derivative is applied spectrally
     to the alias-free ``|u|^2``.
     """
-    samples = _sample_list(traj)
-    grid = samples[0][1].grid
-    if grid.dim != dim:
-        raise DomainError(f"trajectory is {grid.dim}d, requested dim {dim}")
-    if len(samples) < 2:
-        raise DomainError("need at least two samples for a space-time norm")
+    samples = _sample_list(traj, "a space-time norm")
+    _require_same_dim("trajectory", samples[0][1].grid.dim, dim)
     times = np.array([t for t, _ in samples])
     vals = np.empty_like(times)
     for i, (_, f) in enumerate(samples):
@@ -131,12 +122,18 @@ def morawetz_quantity(traj, dim: int) -> float:
     return math.sqrt(float(np.trapezoid(vals, times)))
 
 
-def weighted_radial_sup(f: Field, weight_power: float) -> float:
-    """``sup |x|^w |f(x)|`` over the lattice."""
+def weighted_radial_sup(
+    f: Field, weight_power: float, radius: float | None = None
+) -> float:
+    """``sup |x|^w |f(x)|`` over the lattice, or over its ball ``|x| <= radius``."""
     u = f.as_physical()
     with np.errstate(divide="ignore"):
         weight = _radial(f.grid, lambda r: r**weight_power, space=True)
-    return float((weight * np.abs(u.samples)).max())
+    values = weight * np.abs(u.samples)
+    if radius is not None:
+        radius = _require_real("radius", radius, positive=True)
+        values = values[f.grid.space_radius() <= radius]
+    return float(values.max())
 
 
 def strichartz_admissible(p: float, q: float, dim: int) -> bool:
@@ -145,14 +142,12 @@ def strichartz_admissible(p: float, q: float, dim: int) -> bool:
     In 2d: ``p > 2`` and ``1/p + 1/q = 1/2``.  In 3d: ``p >= 2`` and
     ``2/p = 3*(1/2 - 1/q)``, which pins ``q`` between 2 and 6.
     """
-    if not (p >= 1.0 and q >= 1.0):  # false for NaN, too
-        raise DomainError(f"exponents must be >= 1, got ({p}, {q})")
+    _require_exponent("p", p)
+    _require_exponent("q", q)
     tol = 1e-12
-    if dim == 2:
+    if _require_dim(dim) == 2:
         return p > 2.0 and abs(1.0 / p + 1.0 / q - 0.5) <= tol
-    if dim == 3:
-        return p >= 2.0 and abs(2.0 / p - 3.0 * (0.5 - 1.0 / q)) <= tol
-    raise DomainError(f"dim must be 2 or 3, got {dim}")
+    return p >= 2.0 and abs(2.0 / p - 3.0 * (0.5 - 1.0 / q)) <= tol
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,13 @@ from functools import lru_cache
 import numpy as np
 import scipy.fft as _fft
 
-from .errors import DomainError, RepresentationError, ResolutionError, _require_real
+from .errors import (
+    DomainError,
+    RepresentationError,
+    ResolutionError,
+    _require_dim,
+    _require_real,
+)
 
 __all__ = [
     "Grid",
@@ -91,8 +97,7 @@ class Grid:
     points: int
 
     def __post_init__(self) -> None:
-        if type(self.dim) is not int or self.dim not in (2, 3):
-            raise DomainError(f"dim must be 2 or 3, got {self.dim!r}")
+        _require_dim(self.dim)
         object.__setattr__(self, "extent", _require_real("extent", self.extent, positive=True))
         if type(self.points) is not int or self.points < 4 or self.points % 2:
             raise DomainError(f"points must be an even integer >= 4, got {self.points!r}")
@@ -100,11 +105,7 @@ class Grid:
     @classmethod
     def default(cls, dim: int) -> "Grid":
         """Stock grid: ``256^2`` on ``L = 64`` in 2d, ``64^3`` on ``L = 32`` in 3d."""
-        if dim == 2:
-            return cls(2, 64.0, 256)
-        if dim == 3:
-            return cls(3, 32.0, 64)
-        raise DomainError(f"dim must be 2 or 3, got {dim}")
+        return cls(2, 64.0, 256) if _require_dim(dim) == 2 else cls(3, 32.0, 64)
 
     @property
     def dx(self) -> float:

@@ -1,5 +1,6 @@
 """Tests for the study configs, reports, drivers, and the CLI."""
 
+import argparse
 import json
 import math
 import os
@@ -30,7 +31,7 @@ from nlsbox.experiments import (
     radial_corpus,
     run_study,
 )
-from nlsbox.experiments import studies
+from nlsbox.experiments import cli, studies
 from nlsbox.experiments.cli import main
 from nlsbox.experiments.reports import write_rows
 from nlsbox.spectral import Grid, make_radial_data
@@ -125,6 +126,36 @@ n = 3
 count = 4
 """
 
+MORAWETZ_TEXT = """
+[study]
+name = morawetz
+seed = 3
+
+[grid]
+dim = 2
+extent = 16.0
+points = 32
+
+[evolution]
+k = 1
+dt = 0.02
+t_final = 0.2
+sample_every = 2
+"""
+
+SCATTER_TEXT = CONSERVE_TEXT.replace("name = conserve", "name = scatter") + (
+    "\n[imethod]\ns = 0.8\n"
+)
+
+# One unit config per study, in the order the studies are declared.
+STUDY_TEXTS = {
+    "sweep-n": SWEEP_TEXT,
+    "conserve": CONSERVE_TEXT,
+    "inequalities": INEQ_2D_TEXT,
+    "morawetz": MORAWETZ_TEXT,
+    "scatter": SCATTER_TEXT,
+}
+
 
 def _per_case_constants(cfg):
     """``(case, constant)`` rows of the inequality study, case-major, each
@@ -214,6 +245,21 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="colour"):
             load_config(write_config(tmp_path / "a.ini", text))
 
+    @pytest.mark.parametrize("study,section", [
+        (study, line.strip("[]"))
+        for study, text in STUDY_TEXTS.items()
+        for line in text.splitlines()
+        if line.startswith("[")
+    ])
+    def test_unknown_key_names_study_and_section(self, tmp_path, study, section):
+        text = STUDY_TEXTS[study].replace(f"[{section}]", f"[{section}]\ncolour = red")
+        with pytest.raises(ConfigError, match="does not read") as info:
+            load_config(write_config(tmp_path / "a.ini", text))
+        message = str(info.value)
+        assert repr(study) in message
+        assert f"[{section}]" in message
+        assert "colour" in message
+
     def test_unused_section_rejected(self, tmp_path):
         text = CONSERVE_TEXT + "\n[imethod]\ns = 0.8\n"
         with pytest.raises(ConfigError, match="does not read"):
@@ -250,6 +296,12 @@ class TestLoadConfig:
     def test_n_list_needs_two_entries(self, tmp_path):
         text = SWEEP_TEXT.replace("n_list = 2 3 5", "n_list = 4")
         with pytest.raises(ConfigError, match="two"):
+            load_config(write_config(tmp_path / "a.ini", text))
+
+    @pytest.mark.parametrize("n_list", ["0 3 5", "-1 3 5"])
+    def test_mode_counts_are_positive_integers(self, tmp_path, n_list):
+        text = SWEEP_TEXT.replace("n_list = 2 3 5", f"n_list = {n_list}")
+        with pytest.raises(ConfigError, match=r"\[imethod\] n_list"):
             load_config(write_config(tmp_path / "a.ini", text))
 
     def test_unused_imethod_key_rejected(self, tmp_path):
@@ -414,23 +466,7 @@ class TestStudies:
 
     @pytest.mark.filterwarnings("ignore::nlsbox.errors.UndersamplingWarning")
     def test_morawetz_writes_five_rows(self, tmp_path):
-        text = """
-[study]
-name = morawetz
-seed = 3
-
-[grid]
-dim = 2
-extent = 16.0
-points = 32
-
-[evolution]
-k = 1
-dt = 0.02
-t_final = 0.2
-sample_every = 2
-"""
-        cfg = load_config(write_config(tmp_path / "a.ini", text))
+        cfg = load_config(write_config(tmp_path / "a.ini", MORAWETZ_TEXT))
         report = run_study(cfg, tmp_path / "out")
         lines = (tmp_path / "out" / "morawetz.csv").read_text().splitlines()
         assert lines[0] == "family,quantity,bound,constant"
@@ -438,10 +474,7 @@ sample_every = 2
         assert math.isfinite(report.metrics["stability_ratio"])
 
     def test_scatter_series_and_metrics(self, tmp_path):
-        text = CONSERVE_TEXT.replace("name = conserve", "name = scatter") + (
-            "\n[imethod]\ns = 0.8\n"
-        )
-        cfg = load_config(write_config(tmp_path / "a.ini", text))
+        cfg = load_config(write_config(tmp_path / "a.ini", SCATTER_TEXT))
         report = run_study(cfg, tmp_path / "out")
         lines = (tmp_path / "out" / "pullback.csv").read_text().splitlines()
         assert lines[0] == "t,pullback_increment"
@@ -505,3 +538,14 @@ class TestCli:
         text = capsys.readouterr().out
         for name in STUDY_NAMES:
             assert name in text
+
+    def test_config_drivers_and_subcommands_name_the_same_studies(self):
+        parser = cli._build_parser()
+        (subcommands,) = [
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert tuple(subcommands.choices) == STUDY_NAMES
+        assert tuple(studies.STUDIES) == STUDY_NAMES
+        assert tuple(cli._HELP) == STUDY_NAMES
+        assert tuple(STUDY_TEXTS) == STUDY_NAMES

@@ -81,6 +81,19 @@ class TestConfig:
         with pytest.raises(DomainError):
             critical_exponent(1, 1)
 
+    @pytest.mark.parametrize("call", [
+        lambda: IMethodConfig(4.0, 0.7, True, 3),
+        lambda: critical_exponent(3, True),
+        lambda: critical_exponent(2.0, 2),
+        lambda: critical_exponent(True, 2),
+        lambda: IMethodConfig(4.0, 0.7, 1, 3.0),
+    ], ids=["config-bool-k-3d", "bool-k-3d", "float-dim", "bool-dim", "config-float-dim"])
+    def test_equation_shape_is_validated_like_evolution_params(self, call):
+        # EvolutionParams and Grid reject a bool k and a float dim; so
+        # must the I-method config and the critical exponent.
+        with pytest.raises(DomainError):
+            call()
+
     def test_regularity_window(self):
         cfg = IMethodConfig(4.0, 0.75, 2, 2)
         assert cfg.critical == 0.5

@@ -177,6 +177,12 @@ class TestMorawetz:
         with pytest.raises(DomainError):
             morawetz_quantity(traj, 3)
 
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_needs_two_samples(self, grid2d_medium, count):
+        traj = [(0.0, gaussian(grid2d_medium))][:count]
+        with pytest.raises(DomainError, match="two samples"):
+            morawetz_quantity(traj, 2)
+
     def test_3d_reduces_to_l4(self):
         grid = Grid(3, 16.0, 32)
         f = make_radial_data(grid, RadialProfile("gaussian", 1.5, 2.0))
@@ -214,6 +220,25 @@ class TestWeightedRadialSup:
         expected = A * sigma * math.exp(-0.5)
         assert weighted_radial_sup(f, 1.0) == pytest.approx(expected, rel=1e-3)
 
+    @pytest.mark.parametrize("power", [0.0, 1.0, 2.0])
+    def test_radius_restricts_to_the_ball(self, power):
+        grid = Grid(3, 16.0, 32)
+        f = make_radial_data(
+            grid, RadialProfile("random_radial_superposition", 1.0, 2.0, seed=4)
+        )
+        radius = grid.extent / 4.0
+        r = grid.space_radius()
+        inside = r <= radius
+        u = np.abs(f.as_physical().samples)
+        direct = float((r[inside] ** power * u[inside]).max())
+        assert weighted_radial_sup(f, power, radius) == direct
+        assert weighted_radial_sup(f, power, radius) <= weighted_radial_sup(f, power)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf, True])
+    def test_radius_validation(self, grid2d_medium, radius):
+        with pytest.raises(DomainError, match="radius"):
+            weighted_radial_sup(gaussian(grid2d_medium), 1.0, radius)
+
 
 class TestAdmissibility:
     @pytest.mark.parametrize("p,q,dim,ok", [
@@ -239,6 +264,11 @@ class TestAdmissibility:
                 strichartz_admissible(p, q, 2)
         with pytest.raises(DomainError):
             strichartz_admissible(4.0, 4.0, 4)
+
+    @pytest.mark.parametrize("dim", [2.0, 3.0, True, np.int64(3)])
+    def test_dim_is_validated_like_grid(self, dim):
+        with pytest.raises(DomainError, match="dim"):
+            strichartz_admissible(4.0, 4.0, dim)
 
 
 class TestDiagnosticSeries:

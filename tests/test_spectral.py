@@ -80,6 +80,11 @@ class TestGrid:
             with pytest.raises(DomainError, match="points"):
                 Grid(2, 8.0, points)
 
+    @pytest.mark.parametrize("dim", [2.0, 3.0, True, np.int64(2), 4])
+    def test_default_grid_dim_is_validated_like_grid(self, dim):
+        with pytest.raises(DomainError, match="dim"):
+            Grid.default(dim)
+
     def test_freq_axis_layout(self):
         g = Grid(2, 16.0, 16)
         xi = g.freq_axis()
