@@ -25,6 +25,7 @@ from .errors import (
     UndersamplingWarning,
     _require_count,
     _require_equation,
+    _require_increasing,
     _require_real,
     _require_same_dim,
 )
@@ -146,8 +147,7 @@ def _sample_list(traj, statistic: str = "") -> list[tuple[float, Field]]:
     out = [(float(t), f) for t, f in samples]
     if not all(isinstance(f, Field) for _, f in out):
         raise DomainError("trajectory samples must be (time, Field) pairs")
-    if any(t1 <= t0 for (t0, _), (t1, _) in zip(out, out[1:])):
-        raise DomainError("trajectory samples must have strictly increasing times")
+    _require_increasing("trajectory sample times", [t for t, _ in out])
     if statistic and len(out) < 2:
         raise DomainError(f"{statistic} needs at least two samples")
     return out

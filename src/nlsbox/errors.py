@@ -86,6 +86,12 @@ def _require_same_dim(what: str, dim: int, requested: int) -> None:
         raise DomainError(f"{what} lives in {dim} dimensions but {requested} are requested")
 
 
+def _require_increasing(name: str, values) -> None:
+    """``values`` strictly increasing; a NaN anywhere fails the test."""
+    if any(not b > a for a, b in zip(values, values[1:])):  # true for NaN, too
+        raise DomainError(f"{name} must be strictly increasing")
+
+
 def _require_real(name: str, value, positive: bool = False) -> float:
     """``value`` as a float, if it is a finite real number (and positive if asked).
 

@@ -12,25 +12,90 @@ import configparser
 from dataclasses import dataclass
 
 from ..dynamics import EvolutionParams
-from ..errors import ConfigError, DomainError, _require_count
+from ..errors import ConfigError, DomainError, _require_count, _require_increasing
 from ..spectral import Grid, RadialProfile
 
 __all__ = ["STUDY_NAMES", "StudyConfig", "load_config"]
 
-_COMMON = {"study": ("name", "seed"), "grid": ("dim", "extent", "points")}
-_EVOLUTION = ("k", "dt", "t_final", "sample_every", "dealias", "nonlinearity")
-_DATUM = ("kind", "amplitude", "width")
+REQUIRED = object()  # the default of a key every config must give
 
-# study -> {section: keys the study reads there}.  Every section listed is
-# required except [corpus]; any other section or key is rejected.
+
+def _at_least(low: int):
+    def cast(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be at least {low}")
+        return value
+
+    return cast
+
+
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{value} is outside (0, 1)")
+    return value
+
+
+def _mode_count(text: str) -> int:
+    return _require_count("mode count", int(text))
+
+
+def _mode_counts(text: str) -> tuple[int, ...]:
+    values = tuple(_mode_count(part) for part in text.replace(",", " ").split())
+    if len(values) < 2:
+        raise ValueError("needs at least two mode counts")
+    _require_increasing("mode counts", values)
+    return values
+
+
+def _boolean(text: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if text.strip().lower() not in states:
+        raise ValueError(f"expected one of {sorted(states)}")
+    return states[text.strip().lower()]
+
+
+def _defocusing(text: str) -> str:
+    if text.strip().lower() != "defocusing":
+        raise ValueError("only the defocusing sign is implemented")
+    return "defocusing"
+
+
+# study -> {section: {key: (cast, default)}} for the sections and keys the
+# study reads; any other section or key is rejected.  The cast turns the
+# text into a value and raises ValueError when it is out of range.  A key
+# whose default is REQUIRED must be given, so a section may be left out
+# only if it has none ([corpus]).
+_COMMON = {
+    "study": {"name": (str.strip, REQUIRED), "seed": (_at_least(0), 0)},
+    "grid": {"dim": (int, REQUIRED), "extent": (float, REQUIRED), "points": (int, REQUIRED)},
+}
+_EVOLUTION = {
+    "k": (int, REQUIRED),
+    "dt": (float, REQUIRED),
+    "t_final": (float, REQUIRED),
+    "sample_every": (int, 1),
+    "dealias": (_boolean, True),
+    "nonlinearity": (_defocusing, "defocusing"),
+}
+_S = {"s": (_fraction, REQUIRED)}
+_DATUM = {"kind": (str.strip, REQUIRED), "amplitude": (float, 1.0), "width": (float, 1.0)}
 _LAYOUT = {
     "sweep-n": {
-        **_COMMON, "evolution": _EVOLUTION, "imethod": ("s", "n_list"), "datum": _DATUM
+        **_COMMON,
+        "evolution": _EVOLUTION,
+        "imethod": {**_S, "n_list": (_mode_counts, REQUIRED)},
+        "datum": _DATUM,
     },
     "conserve": {**_COMMON, "evolution": _EVOLUTION, "datum": _DATUM},
-    "inequalities": {**_COMMON, "imethod": ("s", "n"), "corpus": ("count",)},
+    "inequalities": {
+        **_COMMON,
+        "imethod": {**_S, "n": (_mode_count, REQUIRED)},
+        "corpus": {"count": (_at_least(2), 100)},
+    },
     "morawetz": {**_COMMON, "evolution": _EVOLUTION},
-    "scatter": {**_COMMON, "evolution": _EVOLUTION, "imethod": ("s",), "datum": _DATUM},
+    "scatter": {**_COMMON, "evolution": _EVOLUTION, "imethod": _S, "datum": _DATUM},
 }
 STUDY_NAMES = tuple(_LAYOUT)
 
@@ -56,115 +121,23 @@ class StudyConfig:
     corpus_count: int = 100
 
 
-def _value(section: str, key: str, raw: str, caster):
+def _read(parser: configparser.ConfigParser, section: str, key: str, cast, default):
+    if not parser.has_option(section, key):
+        if default is REQUIRED:
+            raise ConfigError(f"[{section}] is missing {key!r}")
+        return default
+    raw = parser[section][key]
     try:
-        return caster(raw)
-    except (ValueError, TypeError) as exc:
+        return cast(raw)
+    except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from None
 
 
-def _boolean(section: str, key: str, raw: str) -> bool:
-    states = configparser.ConfigParser.BOOLEAN_STATES
+def _build(values: dict, section: str, cls, **extra):
     try:
-        return states[raw.strip().lower()]
-    except KeyError:
-        raise ConfigError(
-            f"[{section}] {key} = {raw!r}: expected one of {sorted(states)}"
-        ) from None
-
-
-def _check_layout(parser: configparser.ConfigParser, name: str) -> None:
-    layout = _LAYOUT[name]
-    present = set(parser.sections())
-    missing = set(layout) - present - {"corpus"}
-    if missing:
-        raise ConfigError(f"study {name!r} needs section(s) {sorted(missing)}")
-    unknown = present - set(layout)
-    if unknown:
-        raise ConfigError(f"study {name!r} does not read section(s) {sorted(unknown)}")
-    for section in parser.sections():
-        extra = set(parser[section]) - set(layout[section])
-        if extra:
-            raise ConfigError(
-                f"study {name!r} does not read key(s) {sorted(extra)} in [{section}]"
-            )
-
-
-def _parse_grid(section) -> Grid:
-    for key in ("dim", "extent", "points"):
-        if key not in section:
-            raise ConfigError(f"[grid] is missing {key!r}")
-    dim = _value("grid", "dim", section["dim"], int)
-    extent = _value("grid", "extent", section["extent"], float)
-    points = _value("grid", "points", section["points"], int)
-    try:
-        return Grid(dim, extent, points)
+        return cls(**values[section], **extra)
     except DomainError as exc:
-        raise ConfigError(f"[grid]: {exc}") from None
-
-
-def _parse_evolution(section, grid: Grid) -> EvolutionParams:
-    for key in ("k", "dt", "t_final"):
-        if key not in section:
-            raise ConfigError(f"[evolution] is missing {key!r}")
-    sign = section.get("nonlinearity", "defocusing").strip().lower()
-    if sign != "defocusing":
-        raise ConfigError(
-            f"[evolution] nonlinearity = {sign!r}: only the defocusing sign "
-            "is implemented"
-        )
-    try:
-        return EvolutionParams(
-            dim=grid.dim,
-            k=_value("evolution", "k", section["k"], int),
-            dt=_value("evolution", "dt", section["dt"], float),
-            t_final=_value("evolution", "t_final", section["t_final"], float),
-            sample_every=_value(
-                "evolution", "sample_every", section.get("sample_every", "1"), int
-            ),
-            dealias=_boolean("evolution", "dealias", section.get("dealias", "true")),
-        )
-    except DomainError as exc:
-        raise ConfigError(f"[evolution]: {exc}") from None
-
-
-def _parse_mode_count(key: str, raw: str) -> int:
-    return _value("imethod", key, raw, lambda text: _require_count(key, int(text)))
-
-
-def _parse_imethod(section, name: str) -> dict:
-    wanted = _LAYOUT[name]["imethod"]
-    missing = set(wanted) - set(section)
-    if missing:
-        raise ConfigError(f"[imethod] is missing {sorted(missing)} for study {name!r}")
-    out: dict = {"s": _value("imethod", "s", section["s"], float)}
-    if not 0.0 < out["s"] < 1.0:
-        raise ConfigError(f"[imethod] s = {out['s']} is outside (0, 1)")
-    if "n" in wanted:
-        out["n"] = _parse_mode_count("n", section["n"])
-    if "n_list" in wanted:
-        parts = section["n_list"].replace(",", " ").split()
-        values = tuple(_parse_mode_count("n_list", p) for p in parts)
-        if len(values) < 2:
-            raise ConfigError("[imethod] n_list needs at least two mode counts")
-        if any(b <= a for a, b in zip(values, values[1:])):
-            raise ConfigError("[imethod] n_list must be strictly increasing")
-        out["n_list"] = values
-    return out
-
-
-def _parse_datum(section, seed: int) -> RadialProfile:
-    if "kind" not in section:
-        raise ConfigError("[datum] is missing 'kind'")
-    try:
-        return RadialProfile(
-            kind=section["kind"].strip(),
-            amplitude=_value("datum", "amplitude", section.get("amplitude", "1.0"), float),
-            width=_value("datum", "width", section.get("width", "1.0"), float),
-            seed=seed,
-        )
-    except DomainError as exc:
-        raise ConfigError(f"[datum]: {exc}") from None
+        raise ConfigError(f"[{section}]: {exc}") from None
 
 
 def load_config(path) -> StudyConfig:
@@ -176,30 +149,30 @@ def load_config(path) -> StudyConfig:
         raise ConfigError(f"cannot parse {path!r}: {exc}") from None
     if not loaded:
         raise ConfigError(f"cannot read config file {path!r}")
-    if "study" not in parser:
-        raise ConfigError("config needs a [study] section")
-    if "name" not in parser["study"]:
-        raise ConfigError("[study] is missing 'name'")
-    name = parser["study"]["name"].strip()
+    name = _read(parser, "study", "name", str.strip, REQUIRED)
     if name not in STUDY_NAMES:
         raise ConfigError(f"unknown study {name!r}, expected one of {STUDY_NAMES}")
-    _check_layout(parser, name)
+    layout = _LAYOUT[name]
+    for section in parser.sections():
+        if section not in layout:
+            raise ConfigError(f"study {name!r} does not read section [{section}]")
+        extra = sorted(set(parser[section]) - set(layout[section]))
+        if extra:
+            raise ConfigError(f"study {name!r} does not read key(s) {extra} in [{section}]")
+    values = {
+        section: {key: _read(parser, section, key, *rule) for key, rule in keys.items()}
+        for section, keys in layout.items()
+    }
 
-    seed = _value("study", "seed", parser["study"].get("seed", "0"), int)
-    if seed < 0:
-        raise ConfigError(f"[study] seed = {seed} must be nonnegative")
-    grid = _parse_grid(parser["grid"])
-
+    seed = values["study"]["seed"]
+    grid = _build(values, "grid", Grid)
     fields: dict = {"name": name, "seed": seed, "grid": grid}
-    if "evolution" in parser:
-        fields["evolution"] = _parse_evolution(parser["evolution"], grid)
-    if "imethod" in parser:
-        fields.update(_parse_imethod(parser["imethod"], name))
-    if "datum" in parser:
-        fields["datum"] = _parse_datum(parser["datum"], seed)
-    if "corpus" in parser:
-        count = _value("corpus", "count", parser["corpus"].get("count", "100"), int)
-        if count < 2:
-            raise ConfigError(f"[corpus] count = {count}: need at least two fields")
-        fields["corpus_count"] = count
+    if "evolution" in values:
+        del values["evolution"]["nonlinearity"]  # checked by its cast; the only sign
+        fields["evolution"] = _build(values, "evolution", EvolutionParams, dim=grid.dim)
+    fields.update(values.get("imethod", {}))
+    if "datum" in values:
+        fields["datum"] = _build(values, "datum", RadialProfile, seed=seed)
+    if "corpus" in values:
+        fields["corpus_count"] = values["corpus"]["count"]
     return StudyConfig(**fields)

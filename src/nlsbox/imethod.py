@@ -118,7 +118,8 @@ def rescale(f: Field, lam: float, k: int) -> Field:
     if math.frexp(lam)[0] != 0.5:
         raise DomainError(f"lam must be a power of two, got {lam!r}")
     g = f.grid
-    alpha = 1.0 if g.dim == 3 else 1.0 / _require_count("k", k)
+    _require_equation(g.dim, k)
+    alpha = 1.0 if g.dim == 3 else 1.0 / k
     scaled_grid = Grid(g.dim, g.extent / lam, g.points)
     samples = lam**alpha * f.as_physical().samples
     return Field(scaled_grid, samples, PHYSICAL)

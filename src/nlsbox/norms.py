@@ -19,6 +19,7 @@ from .errors import (
     DomainError,
     _require_dim,
     _require_exponent,
+    _require_increasing,
     _require_real,
     _require_same_dim,
 )
@@ -163,8 +164,7 @@ class DiagnosticSeries:
         values = np.asarray(self.values, dtype=np.float64)
         if times.shape != values.shape or times.ndim != 1:
             raise DomainError("times and values must be matching 1d arrays")
-        if times.size >= 2 and not np.all(np.diff(times) > 0.0):
-            raise DomainError("times must be strictly increasing")
+        _require_increasing("times", times)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 

@@ -299,20 +299,19 @@ def _sector(a: np.ndarray) -> np.ndarray | None:
     """The ``[0, n/2]^d`` block of ``a`` when ``a`` has at least
     ``_SECTOR_FLOOR`` points and is even in every axis, else ``None``.
 
-    Even means ``a[j] = a[n-j]`` along each axis.  The reflection fixes
-    slots 0 and n/2 in both storage orders (``x = -L/2, 0`` physical,
-    ``m = 0, -n/2`` in frequency), so the test and the block are the same
-    for either representation, and the array's DFT is the type-I DCT of
-    its block (Swarztrauber, Math. Comp. 47, 1986).
+    Even means ``a[j] = a[n-j]`` along each axis, bit for bit: an array
+    that is even by value but not in the signs of its zeros takes the
+    full-grid path.  The reflection fixes slots 0 and n/2 in both storage
+    orders (``x = -L/2, 0`` physical, ``m = 0, -n/2`` in frequency), so
+    the test and the block are the same for either representation, and
+    the array's DFT is the type-I DCT of its block (Swarztrauber, Math.
+    Comp. 47, 1986).
     """
     if a.size < _SECTOR_FLOOR:
         return None
-    n, half = a.shape[0], a.shape[0] // 2
-    for axis in range(a.ndim):
-        lead = (slice(None),) * axis
-        if not np.array_equal(a[lead + (slice(1, half),)], a[lead + (slice(n - 1, half, -1),)]):
-            return None
-    return _block(a)
+    block = _block(a)
+    even = np.array_equal(_unfold(block, a.shape[0]).view(np.uint64), a.view(np.uint64))
+    return block if even else None
 
 
 def _unfold(block: np.ndarray, n: int) -> np.ndarray:
@@ -558,16 +557,13 @@ def write_field(f: Field, path) -> None:
     has its ``[0, n/2]^d`` block formatted and the rows unfolded by
     reflection, which writes the same bytes.
     """
-    g, a = f.grid, f.samples
-    block = _block(a)
-    # Bitwise, not by value as in _sector: 0.0 == -0.0 but their rows differ.
-    if a.size >= _SECTOR_FLOOR and np.array_equal(
-        _unfold(block, g.points).view(np.uint64), a.view(np.uint64)
-    ):
+    g = f.grid
+    block = _sector(f.samples)
+    if block is not None:
         table = np.fromiter(_rows(block), dtype=object, count=block.size)
         rows = _unfold(table.reshape(block.shape), g.points).reshape(-1)
     else:
-        rows = _rows(a)
+        rows = _rows(f.samples)
     with open(path, "w") as fh:
         fh.write(f"{g.dim} {g.points} {g.extent!r} {f.rep}\n")
         fh.writelines(rows)
@@ -576,14 +572,14 @@ def write_field(f: Field, path) -> None:
 def read_field(path) -> Field:
     """Read a field written by :func:`write_field`, bit for bit."""
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 4:
-            raise DomainError(f"malformed field header in {path}")
-        dim, points, extent, rep = int(header[0]), int(header[1]), float(header[2]), header[3]
-        if rep not in _REPS:
-            raise RepresentationError(f"unknown representation tag {rep!r} in {path}")
-        grid = Grid(dim, extent, points)
-        data = np.loadtxt(fh, dtype=np.float64, ndmin=2)
+        try:
+            dim, points, extent, rep = fh.readline().split()
+            grid = Grid(int(dim), float(extent), int(points))
+            data = np.loadtxt(fh, dtype=np.float64, ndmin=2)
+        except ValueError as exc:  # a short header or a non-numeric field or row
+            raise DomainError(f"malformed field file {path}: {exc}") from None
+    if rep not in _REPS:
+        raise RepresentationError(f"unknown representation tag {rep!r} in {path}")
     if data.shape != (grid.size, 2):
         raise DomainError(
             f"expected {grid.size} sample rows of two columns, got shape {data.shape}"

@@ -404,6 +404,14 @@ class TestTrajectory:
         with pytest.raises(DomainError):
             Trajectory(params, ((0.0, f), (0.0, f)))
 
+    def test_nan_time_rejected(self):
+        f = gaussian(Grid(2, 16.0, 16), 0.5, 4.0)
+        samples = ((0.0, f), (math.nan, f), (1.0, f))
+        with pytest.raises(DomainError, match="strictly increasing"):
+            Trajectory(EvolutionParams(2, 1, 0.01, 0.1), samples)
+        with pytest.raises(DomainError, match="strictly increasing"):
+            mixed_norm(samples, MixedNormSpec(4.0, 4.0, 0.0, 1.0))
+
     def test_non_field_first_sample(self):
         params = EvolutionParams(2, 1, 0.01, 0.1)
         with pytest.raises(DomainError):

@@ -157,6 +157,13 @@ STUDY_TEXTS = {
 }
 
 
+def without_keys(text, *keys):
+    """``text`` with the lines that set any of ``keys`` removed."""
+    return "\n".join(
+        line for line in text.splitlines() if line.split("=")[0].strip() not in keys
+    )
+
+
 def _per_case_constants(cfg):
     """``(case, constant)`` rows of the inequality study, case-major, each
     constant evaluated on its own from the field through public calls."""
@@ -323,6 +330,38 @@ class TestLoadConfig:
         text = SWEEP_TEXT.replace("seed = 0", "seed = -2")
         with pytest.raises(ConfigError, match="seed"):
             load_config(write_config(tmp_path / "a.ini", text))
+
+    @pytest.mark.parametrize("study,section,key", [
+        ("sweep-n", "study", "name"),
+        ("sweep-n", "grid", "dim"),
+        ("sweep-n", "grid", "extent"),
+        ("sweep-n", "grid", "points"),
+        ("sweep-n", "evolution", "k"),
+        ("sweep-n", "evolution", "dt"),
+        ("sweep-n", "evolution", "t_final"),
+        ("sweep-n", "imethod", "s"),
+        ("sweep-n", "imethod", "n_list"),
+        ("inequalities", "imethod", "n"),
+        ("sweep-n", "datum", "kind"),
+    ])
+    def test_missing_required_key(self, tmp_path, study, section, key):
+        text = without_keys(STUDY_TEXTS[study], key)
+        with pytest.raises(ConfigError) as info:
+            load_config(write_config(tmp_path / "a.ini", text))
+        assert f"[{section}]" in str(info.value)
+        assert repr(key) in str(info.value)
+
+    def test_optional_keys_take_documented_defaults(self, tmp_path):
+        text = without_keys(SWEEP_TEXT, "seed", "sample_every", "amplitude", "width")
+        cfg = load_config(write_config(tmp_path / "a.ini", text))
+        assert cfg.seed == 0
+        assert cfg.evolution.sample_every == 1
+        assert cfg.evolution.dealias is True
+        assert (cfg.datum.amplitude, cfg.datum.width) == (1.0, 1.0)
+        empty_corpus = without_keys(INEQ_2D_TEXT, "count")
+        no_corpus = INEQ_2D_TEXT.split("[corpus]")[0]
+        for text in (empty_corpus, no_corpus):
+            assert load_config(write_config(tmp_path / "b.ini", text)).corpus_count == 100
 
 
 class TestCorpus:

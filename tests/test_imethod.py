@@ -180,6 +180,11 @@ class TestRescale:
         with pytest.raises(DomainError):
             rescale(f, 0.5, 0)
 
+    def test_rejects_non_cubic_3d(self):
+        f = random_field(Grid(3, 16.0, 16), seed=1)
+        with pytest.raises(DomainError, match="cubic"):
+            rescale(f, 0.5, 7)
+
 
 class TestChooseLambda:
     def test_finds_minimal_halving(self):

@@ -338,15 +338,23 @@ class TestEvenSector:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(spectral._fft, name, counted)
 
-    @pytest.mark.parametrize("grid,radial,sector", [
-        (Grid(2, 16.0, 64), True, True),
-        (Grid(3, 8.0, 16), True, True),
-        (Grid(2, 16.0, 32), True, False),
-        (Grid(2, 16.0, 64), False, False),
-    ], ids=["radial_64^2", "radial_16^3", "radial_32^2", "random_64^2"])
-    def test_path_taken(self, monkeypatch, grid, radial, sector):
-        u = self.even_field(grid) if radial else random_field(grid, seed=8)
-        spec = u.as_frequency()
+    @pytest.mark.parametrize("grid,kind,sector", [
+        (Grid(2, 16.0, 64), "radial", True),
+        (Grid(3, 8.0, 16), "radial", True),
+        (Grid(2, 16.0, 32), "radial", False),
+        (Grid(2, 16.0, 64), "random", False),
+        (Grid(2, 16.0, 64), "signed_zero", False),
+    ], ids=["radial_64^2", "radial_16^3", "radial_32^2", "random_64^2",
+            "even_by_value_odd_by_sign_64^2"])
+    def test_path_taken(self, monkeypatch, grid, kind, sector):
+        if kind == "signed_zero":
+            # Even by value only; its spectrum is even bit for bit, so the
+            # same samples stand in for the frequency input too.
+            samples = TestSerialization.even_by_value_odd_by_sign().samples
+            u, spec = Field.physical(grid, samples), Field.frequency(grid, samples)
+        else:
+            u = self.even_field(grid) if kind == "radial" else random_field(grid, seed=8)
+            spec = u.as_frequency()
         calls = []
         self.transforms_called(monkeypatch, calls)
         forward_transform(u)
@@ -576,6 +584,16 @@ class TestSerialization:
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.field"
         path.write_text("2 16 16.0\n")
+        with pytest.raises(DomainError):
+            read_field(path)
+
+    @pytest.mark.parametrize("text", [
+        "two 4 8.0 physical\n" + "0.0 0.0\n" * 16,
+        "2 4 8.0 physical\n" + "x y\n" + "0.0 0.0\n" * 15,
+    ], ids=["header", "row"])
+    def test_non_numeric_text(self, tmp_path, text):
+        path = tmp_path / "bad.field"
+        path.write_text(text)
         with pytest.raises(DomainError):
             read_field(path)
 
