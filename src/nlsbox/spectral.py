@@ -45,8 +45,10 @@ block's fixed costs outweigh its smaller transforms.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 import scipy.fft as _fft
@@ -569,20 +571,41 @@ def write_field(f: Field, path) -> None:
         fh.writelines(rows)
 
 
+def _block_rows(fh, n: int, dim: int) -> list | None:
+    """The ``[0, n/2]^d`` block's rows of a body that is even row for row,
+    else ``None``.  Slabs ``0..n/2`` of the first axis must be even in the
+    other axes and slab ``j > n/2`` must repeat slab ``n-j``; equal text
+    parses to equal bits, so such a body holds a bitwise-even field."""
+    half, width, slabs, block = n // 2, n ** (dim - 1), [], []
+    for _ in range(half + 1):  # a short body raises ValueError here
+        rows = np.fromiter(islice(fh, width), object, width).reshape((n,) * (dim - 1))
+        if not np.array_equal(_unfold(_block(rows), n), rows):
+            return None
+        slabs.append("".join(rows.flat))
+        block.extend(_block(rows).flat)
+    mirrored = all(fh.read(len(slab)) == slab for slab in slabs[half - 1:0:-1])
+    return block if mirrored and not fh.read(1) else None
+
+
 def read_field(path) -> Field:
-    """Read a field written by :func:`write_field`, bit for bit."""
+    """Read a field written by :func:`write_field`, bit for bit.  An even
+    body is parsed from its block rows (:func:`_block_rows`) and unfolded."""
     with open(path) as fh:
         try:
             dim, points, extent, rep = fh.readline().split()
-            grid = Grid(int(dim), float(extent), int(points))
-            data = np.loadtxt(fh, dtype=np.float64, ndmin=2)
-        except ValueError as exc:  # a short header or a non-numeric field or row
+            grid, body = Grid(int(dim), float(extent), int(points)), fh.tell()
+            block = _block_rows(fh, grid.points, grid.dim) if grid.size >= _SECTOR_FLOOR else None
+            shape = grid.shape if block is None else (grid.points // 2 + 1,) * grid.dim
+            fh.seek(body)  # for a whole-body parse; a block read is done with fh
+            with warnings.catch_warnings():  # under max_rows loadtxt warns of blank rows
+                warnings.simplefilter("error", UserWarning)
+                data = np.loadtxt(block or fh, comments=None, max_rows=math.prod(shape) + 1)
+        except (ValueError, UserWarning) as exc:  # a short header, a bad field or row, a blank row
             raise DomainError(f"malformed field file {path}: {exc}") from None
     if rep not in _REPS:
         raise RepresentationError(f"unknown representation tag {rep!r} in {path}")
-    if data.shape != (grid.size, 2):
-        raise DomainError(
-            f"expected {grid.size} sample rows of two columns, got shape {data.shape}"
-        )
+    if data.shape != (math.prod(shape), 2):
+        raise DomainError(f"expected {math.prod(shape)} rows of two columns, got {data.shape}")
     # A view, not re + 1j*im: that arithmetic turns -0.0 parts into +0.0.
-    return Field(grid, data.view(np.complex128).reshape(grid.shape), rep)
+    samples = data.view(np.complex128).reshape(shape)
+    return Field(grid, samples if block is None else _unfold(samples, grid.points), rep)

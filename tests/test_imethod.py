@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from nlsbox import spectral
 from nlsbox import (
     AtomicIntervalError,
     DiagnosticSeries,
@@ -145,6 +146,26 @@ class TestModifiedEnergy:
         f = gaussian(grid, 1.0, 2.0)
         with pytest.raises(DomainError):
             modified_energy(f, IMethodConfig(1.0, 0.6, 1, 3))
+
+    # Even 64^2 and 16^3 data take the sector transforms, a random field the FFTs.
+    @pytest.mark.parametrize("case", ["gaussian_64^2", "gaussian_16^3", "random_64^2"])
+    def test_frequency_input_bitwise(self, case):
+        kind, size = case.split("_")
+        grid = Grid(2, 16.0, 64) if size == "64^2" else Grid(3, 8.0, 16)
+        f = gaussian(grid, 1.0, 2.0) if kind == "gaussian" else random_field(grid, seed=7)
+        cfg = IMethodConfig(1.2, 0.75, 1, grid.dim)
+        assert modified_energy(f, cfg) == modified_energy(f.as_frequency(), cfg)
+
+    def test_physical_input_transforms_once(self, monkeypatch):
+        calls = []
+        for name in ("forward_transform", "inverse_transform"):
+            def counted(f, _name=name, _fn=getattr(spectral, name)):
+                calls.append(_name)
+                return _fn(f)
+
+            monkeypatch.setattr(spectral, name, counted)
+        modified_energy(gaussian(Grid(2, 16.0, 64), 1.0, 1.5), IMethodConfig(1.2, 0.75, 1, 2))
+        assert sorted(calls) == ["forward_transform", "inverse_transform"]
 
 
 class TestRescale:

@@ -555,7 +555,122 @@ class TestSerialization:
         assert path.read_bytes() == self.reference_bytes(f)
         half = f.grid.points // 2 + 1
         assert formatted == [half**f.grid.dim if block else f.grid.size]
+        parsed = self.count_parsed_rows(monkeypatch)
         assert read_field(path).samples.tobytes() == f.samples.tobytes()
+        assert parsed == [half**f.grid.dim if block else f.grid.size]
+
+    @staticmethod
+    def count_parsed_rows(monkeypatch):
+        # The number of rows each np.loadtxt call is handed.
+        parsed = []
+
+        def counted(rows, *args, _loadtxt=np.loadtxt, **kwargs):
+            rows = list(rows)
+            parsed.append(len(rows))
+            return _loadtxt(rows, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counted)
+        return parsed
+
+    @staticmethod
+    def whole_body_read(path):
+        # The reader before block reads: np.loadtxt on every row of the body.
+        with open(path) as fh:
+            dim, points, _, _ = fh.readline().split()
+            data = np.loadtxt(fh, dtype=np.float64, ndmin=2)
+        shape = (int(points),) * int(dim)
+        if data.shape != (math.prod(shape), 2):
+            raise DomainError(f"got shape {data.shape}")
+        return data.view(np.complex128).reshape(shape)
+
+    def test_even_by_value_not_by_text_reads_whole_body(self, monkeypatch, tmp_path):
+        rows = ["1.0 0.5\n"] * 64**2
+        rows[3 * 64 + 5], rows[61 * 64 + 5] = "1.0 0.25\n", "1.00 0.25\n"
+        rows[3 * 64 + 59], rows[61 * 64 + 59] = "1.0 0.25\n", "1.0 0.250\n"
+        path = tmp_path / "state.field"
+        path.write_text("2 64 16.0 physical\n" + "".join(rows))
+        parsed = self.count_parsed_rows(monkeypatch)
+        samples = read_field(path).samples
+        assert parsed == [64**2]
+        monkeypatch.undo()
+        assert samples.tobytes() == self.whole_body_read(path).tobytes()
+        assert np.array_equal(spectral._unfold(spectral._block(samples), 64), samples)
+
+    @pytest.mark.parametrize("edit,outcome", [
+        ("no_final_newline", "even"), ("changed_row_in_last_slab", "not_even"),
+        ("extra_trailing_row", DomainError),
+    ])
+    def test_edited_even_file_reads_as_whole_body(self, tmp_path, edit, outcome):
+        f = TestEvenSector.even_field(Grid(3, 8.0, 16))
+        path = tmp_path / "state.field"
+        write_field(f, path)
+        text = path.read_text()
+        if edit == "no_final_newline":
+            text = text[:-1]
+        elif edit == "changed_row_in_last_slab":
+            lines = text.splitlines(keepends=True)
+            lines[-20] = "0.5 -0.25\n"
+            text = "".join(lines)
+        else:
+            text += "0.0 0.0\n"
+        path.write_text(text)
+        if outcome is DomainError:
+            with pytest.raises(DomainError):
+                self.whole_body_read(path)
+            with pytest.raises(DomainError):
+                read_field(path)
+            return
+        samples = read_field(path).samples
+        assert samples.tobytes() == self.whole_body_read(path).tobytes()
+        assert (samples.tobytes() == f.samples.tobytes()) == (outcome == "even")
+
+    @pytest.mark.parametrize("line", ["\n", "  \n", "# hi\n", "0.0 0.0 # hi\n"],
+                             ids=["blank", "spaces", "comment", "trailing_comment"])
+    @pytest.mark.parametrize("case", ["even_64^2_extra", "even_64^2_orbit", "random_64^2_extra",
+                                      "random_64^2_replaced", "zeros_4^2_extra"])
+    def test_non_sample_lines_rejected(self, monkeypatch, tmp_path, case, line):
+        if case.startswith("even"):
+            f = TestEvenSector.even_field(Grid(2, 16.0, 64))
+        elif case.startswith("random"):
+            f = random_field(Grid(2, 16.0, 64), seed=5)
+        else:
+            f = Field.physical(Grid(2, 16.0, 4), np.zeros((4, 4)))
+        path = tmp_path / "state.field"
+        write_field(f, path)
+        header, *rows = path.read_text().splitlines(keepends=True)
+        if case.endswith("orbit"):
+            # Every mirror of one row: the body stays even row for row.
+            for j, k in [(3, 5), (61, 5), (3, 59), (61, 59)]:
+                rows[64 * j + k] = line
+        elif case.endswith("replaced"):
+            rows[len(rows) // 3] = line
+        else:
+            rows.insert(len(rows) // 3, line)
+        path.write_text(header + "".join(rows))
+        parsed = self.count_parsed_rows(monkeypatch)
+        with pytest.raises(DomainError):
+            read_field(path)
+        if case.endswith("orbit"):
+            assert parsed == [33**2]
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_field_even_in_all_but_one_axis_reads_whole_body(self, monkeypatch, tmp_path, axis):
+        f = TestEvenSector.even_field(Grid(3, 8.0, 16))
+        ramp = np.linspace(1.0, 2.0, 16).reshape([16 if a == axis else 1 for a in range(3)])
+        f = Field.physical(f.grid, f.samples * ramp)
+        path = tmp_path / "state.field"
+        write_field(f, path)
+        parsed = self.count_parsed_rows(monkeypatch)
+        assert read_field(path).samples.tobytes() == f.samples.tobytes()
+        assert parsed == [16**3]
+
+    @pytest.mark.parametrize("points", [4, 64])
+    def test_empty_body_raises_without_warning(self, tmp_path, recwarn, points):
+        path = tmp_path / "empty.field"
+        path.write_text(f"2 {points} 16.0 physical\n")
+        with pytest.raises(DomainError):
+            read_field(path)
+        assert not recwarn.list
 
     @settings(max_examples=30, deadline=None)
     @given(values=hnp.arrays(
