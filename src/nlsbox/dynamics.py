@@ -34,7 +34,10 @@ from .spectral import (
     PHYSICAL,
     Field,
     Grid,
+    _lattice_max,
+    _lattice_sum,
     _map_spectrum,
+    _pointwise,
     _radial,
     dealiased_modulus_power,
     read_field,
@@ -167,7 +170,7 @@ def linear_flow(f: Field, t: float) -> Field:
     exp(-i t |xi|^2).  The representation of the input is preserved.
     """
     phase = _quadratic_phase(f.grid, _require_real("time", t))
-    return _map_spectrum(f, lambda spec: spec * phase)
+    return _map_spectrum(f, np.multiply, phase)
 
 
 def nonlinear_phase(f: Field, dt: float, k: int, dealias: bool = True) -> Field:
@@ -183,10 +186,10 @@ def nonlinear_phase(f: Field, dt: float, k: int, dealias: bool = True) -> Field:
     _require_count("k", k)
     u = f.as_physical()
     if dealias:
-        w = dealiased_modulus_power(f, 2 * k).samples.real
+        out = _pointwise(lambda a, w: a * np.exp(-1j * dt * w.real), PHYSICAL,
+                         u, dealiased_modulus_power(f, 2 * k))
     else:
-        w = np.abs(u.samples) ** (2 * k)
-    out = Field(u.grid, u.samples * np.exp(-1j * dt * w), PHYSICAL)
+        out = _pointwise(lambda a: a * np.exp(-1j * dt * np.abs(a) ** (2 * k)), PHYSICAL, u)
     return out if f.is_physical else out.as_frequency()
 
 
@@ -208,22 +211,22 @@ def strang_step(f: Field, params: EvolutionParams) -> Field:
 def _tail_fraction(f: Field) -> float:
     spec = f.as_frequency()
     with np.errstate(over="ignore", invalid="ignore"):
-        power = np.abs(spec.samples) ** 2
-        total = float(power.sum())
+        total = _lattice_sum(lambda s: np.abs(s) ** 2, spec)
         if total == 0.0 or not math.isfinite(total):
             return 0.0
         outer = _radial(f.grid, lambda r: r >= _TAIL_BAND_START * f.grid.nyquist)
-        return float(power[outer].sum()) / total
+        return _lattice_sum(lambda s, m: np.where(m, np.abs(s) ** 2, 0.0), spec, outer) / total
 
 
-def _check_health(u: Field, spec: Field, t: float, peak0: float, notes: list) -> None:
-    peak = float(np.max(np.abs(u.samples)))
+def _check_health(u: Field, t: float, peak0: float, notes: list) -> float:
+    """The peak of ``u``, checked against ``peak0``; its spectral tail until a warning."""
+    peak = _lattice_max(u)
     if peak > _GROWTH_LIMIT * peak0:
         raise InstabilityError(
             f"amplitude grew by more than {_GROWTH_LIMIT:.0e} at t={t!r}"
         )
     if not notes:
-        frac = _tail_fraction(spec)
+        frac = _tail_fraction(u)
         if frac > _TAIL_WARN_FRACTION:
             msg = (
                 f"{frac:.3e} of the spectral mass sits above two thirds of the "
@@ -231,6 +234,7 @@ def _check_health(u: Field, spec: Field, t: float, peak0: float, notes: list) ->
             )
             notes.append(msg)
             _warnings.warn(msg, UndersamplingWarning, stacklevel=3)
+    return peak
 
 
 def evolve(initial: Field, params: EvolutionParams) -> Trajectory:
@@ -248,11 +252,9 @@ def evolve(initial: Field, params: EvolutionParams) -> Trajectory:
     _require_same_dim("initial data", initial.grid.dim, params.dim)
     u, spec = initial.as_physical(), initial.as_frequency()
     steps = params.step_count()
-    peak0 = float(np.max(np.abs(u.samples)))
-    if peak0 == 0.0:
-        peak0 = 1.0
     notes: list = []
-    _check_health(u, spec, 0.0, peak0, notes)
+    # Growth from a zero datum is measured from 1.
+    peak0 = _check_health(u, 0.0, math.inf, notes) or 1.0
     samples = [(0.0, u)]
     for i in range(1, steps + 1):
         t = i * params.dt
@@ -262,7 +264,7 @@ def evolve(initial: Field, params: EvolutionParams) -> Trajectory:
             raise InstabilityError(f"{exc} near t={t!r}") from exc
         if i % params.sample_every == 0 or i == steps:
             u = spec.as_physical()
-            _check_health(u, spec, t, peak0, notes)
+            _check_health(u, t, peak0, notes)
             samples.append((t, u))
     provenance = (
         f"strang dim={params.dim} k={params.k} dt={params.dt!r} "
@@ -273,8 +275,7 @@ def evolve(initial: Field, params: EvolutionParams) -> Trajectory:
 
 def mass(f: Field) -> float:
     """Squared L2 norm, the conserved mass of the flow."""
-    u = f.as_physical()
-    return float(np.sum(np.abs(u.samples) ** 2) * f.grid.cell_volume)
+    return _lattice_sum(lambda a: np.abs(a) ** 2, f.as_physical()) * f.grid.cell_volume
 
 
 def energy(f: Field, k: int) -> float:
@@ -285,16 +286,10 @@ def energy(f: Field, k: int) -> float:
     energy controls the H1 size of the field.
     """
     _require_count("k", k)
-    spec = f.as_frequency()
     w = _radial(f.grid, _sobolev_symbol(2.0))
-    kinetic = 0.5 * float(np.sum(w * np.abs(spec.samples) ** 2)) * f.grid.freq_cell_volume
-    phys = f.as_physical()
-    potential = (
-        float(np.sum(np.abs(phys.samples) ** (2 * k + 2)))
-        * f.grid.cell_volume
-        / (2 * k + 2)
-    )
-    return kinetic + potential
+    kinetic = _lattice_sum(lambda s, sym: sym * np.abs(s) ** 2, f.as_frequency(), w)
+    potential = _lattice_sum(lambda a: np.abs(a) ** (2 * k + 2), f.as_physical())
+    return 0.5 * kinetic * f.grid.freq_cell_volume + potential * f.grid.cell_volume / (2 * k + 2)
 
 
 def write_checkpoint(traj: Trajectory, directory: str) -> None:

@@ -101,9 +101,7 @@ def modified_energy(f: Field, cfg: IMethodConfig) -> float:
     2N strictly below its Nyquist frequency.
     """
     _require_same_dim("field", f.grid.dim, cfg.dim)
-    # In frequency, so energy reads the smoothed spectrum and inverts it once.
-    smoothed = apply_symbol(f.as_frequency(), i_operator_symbol(cfg.N, cfg.s))
-    return energy(smoothed, cfg.k)
+    return energy(apply_symbol(f, i_operator_symbol(cfg.N, cfg.s)), cfg.k)
 
 
 def rescale(f: Field, lam: float, k: int) -> Field:

@@ -113,7 +113,7 @@ def apply_symbol(f: Field, symbol: RadialSymbol) -> Field:
     values = _radial(grid, symbol)
     if not np.all(np.isfinite(values)):
         raise DomainError(f"symbol {symbol.label!r} is not finite on the lattice")
-    return _map_spectrum(f, lambda spec: values * spec)
+    return _map_spectrum(f, lambda spec, v: v * spec, values)
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ def _sharp_pass(f: Field, lam: float, keep_low: bool) -> Field:
             f"cutoff {lam:.4g} must lie in (0, Nyquist={grid.nyquist:.4g})"
         )
     mask = _radial(grid, lambda r: r <= lam if keep_low else r > lam)
-    return _map_spectrum(f, lambda spec: np.where(mask, spec, 0.0))
+    return _map_spectrum(f, lambda spec, m: np.where(m, spec, 0.0), mask)
 
 
 def low_pass(f: Field, lam: float) -> Field:

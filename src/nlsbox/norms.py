@@ -24,7 +24,7 @@ from .errors import (
     _require_same_dim,
 )
 from .multipliers import _sobolev_symbol, fractional_derivative
-from .spectral import Field, _radial, dealiased_modulus_power
+from .spectral import Field, _lattice_max, _lattice_sum, _radial, dealiased_modulus_power
 
 __all__ = [
     "lebesgue_norm",
@@ -41,10 +41,10 @@ __all__ = [
 def lebesgue_norm(f: Field, p: float) -> float:
     """``L^p`` norm of the physical samples; ``p = inf`` gives the sup."""
     _require_exponent("p", p)
-    mag = np.abs(f.as_physical().samples)
+    u = f.as_physical()
     if math.isinf(p):
-        return float(mag.max())
-    return float((mag**p).sum() * f.grid.cell_volume) ** (1.0 / p)
+        return _lattice_max(u)
+    return (_lattice_sum(lambda a: np.abs(a) ** p, u) * f.grid.cell_volume) ** (1.0 / p)
 
 
 def sobolev_norm(f: Field, s: float, homogeneous: bool = True) -> float:
@@ -57,8 +57,8 @@ def sobolev_norm(f: Field, s: float, homogeneous: bool = True) -> float:
     g = f.grid
     s = _require_real("s", s)
     w = _radial(g, _sobolev_symbol(2.0 * s, inhomogeneous=not homogeneous))
-    spec = f.as_frequency().samples
-    return math.sqrt(float((w * (spec.real**2 + spec.imag**2)).sum()) * g.freq_cell_volume)
+    total = _lattice_sum(lambda a, sym: sym * (a.real**2 + a.imag**2), f.as_frequency(), w)
+    return math.sqrt(total * g.freq_cell_volume)
 
 
 @dataclass(frozen=True)

@@ -33,13 +33,14 @@ inverted from its half spectrum.
 
 Radial data are even in every axis, ``a[j] = a[n-j]`` in either storage
 order, and an even array is fixed by its ``[0, n/2]^d`` block, whose
-type-I DCT is the array's DFT.  The transforms and the products test
-their input for evenness and, when it holds, transform that block on
-the coarse grid and on the padded grid alike, then unfold the result by
-reflection.  Their outputs are then exactly even, so a radial run stays
-on this path from step to step.  Arrays of fewer than 4096 points
-(below ``64^2`` or ``16^3``) always take the full-grid FFTs, where the
-block's fixed costs outweigh its smaller transforms.
+type-I DCT is the array's DFT.  A field is tested for evenness at most
+once; when it holds, that block is transformed on the coarse grid and on
+the padded grid alike, and lattice sums fold onto it.  What is made from
+an even field holds only its block (see :class:`Field`), so a radial run
+stays on the block from step to step and is never tested again.  Arrays
+of fewer than 1728 points (below ``12^3``, or ``42^2`` in 2d) always
+take the full-grid FFTs, where the block's fixed costs outweigh its
+smaller transforms.
 """
 
 from __future__ import annotations
@@ -207,27 +208,60 @@ class Field:
     Physical samples are stored in coordinate order (``x`` ascending from
     ``-L/2``); frequency samples are stored in FFT order matching
     :meth:`Grid.freq_axis`.
+
+    A field that the transforms, products, multipliers, phases, arithmetic
+    or :func:`read_field` make from even input holds only its ``[0, n/2]^d``
+    block, and ``samples`` unfolds it (read-only) when first read.  A
+    physical field keeps the spectrum it was inverted from, or else its
+    first :meth:`as_frequency`.
     """
 
-    __slots__ = ("grid", "samples", "rep")
+    __slots__ = ("grid", "rep", "_samples", "_half", "_spectrum")
 
     def __init__(self, grid: Grid, samples: np.ndarray, rep: str) -> None:
-        if rep not in _REPS:
-            raise RepresentationError(f"rep must be one of {_REPS}, got {rep!r}")
         arr = np.asarray(samples, dtype=np.complex128, order="C")
-        if arr.shape != grid.shape:
-            raise DomainError(f"samples shape {arr.shape} does not match grid {grid.shape}")
-        if not np.all(np.isfinite(arr.view(np.float64))):
-            raise DomainError("field samples must be finite")
         if arr is samples or arr.base is not None:  # the caller's buffer
             arr = arr.copy()
+        self._hold(grid, rep, arr, even=False)
+
+    @classmethod
+    def _adopt(cls, grid: Grid, arr: np.ndarray, rep: str, even: bool = False) -> "Field":
+        """A field that takes over ``arr``, a fresh array, without a copy: as
+        its samples, or with ``even`` as the ``[0, n/2]^d`` block of an even field."""
+        f = object.__new__(cls)
+        f._hold(grid, rep, np.asarray(arr, dtype=np.complex128, order=None if even else "C"), even)
+        return f
+
+    def _hold(self, grid: Grid, rep: str, arr: np.ndarray, even: bool) -> None:
+        if rep not in _REPS:
+            raise RepresentationError(f"rep must be one of {_REPS}, got {rep!r}")
+        shape = (grid.points // 2 + 1,) * grid.dim if even else grid.shape
+        if arr.shape != shape:
+            raise DomainError(f"samples shape {arr.shape} does not match grid {grid.shape}")
+        if not np.isfinite(arr if even else arr.view(np.float64)).all():
+            raise DomainError("field samples must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "samples", arr)
         object.__setattr__(self, "rep", rep)
+        object.__setattr__(self, "_samples", None if even else arr)
+        object.__setattr__(self, "_half", arr if even else None)
+        object.__setattr__(self, "_spectrum", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Field is immutable")
+
+    @property
+    def samples(self) -> np.ndarray:
+        if self._samples is None:
+            object.__setattr__(self, "_samples", _readonly(_unfold(self._half, self.grid.points)))
+        return self._samples
+
+    def _even_block(self) -> np.ndarray | None:
+        """:func:`_sector` of the samples, tested once; held blocks pass."""
+        if self._half is None:
+            block = _sector(self._samples)
+            object.__setattr__(self, "_half", False if block is None else block)
+        return None if self._half is False else self._half
 
     @classmethod
     def physical(cls, grid: Grid, samples: np.ndarray) -> "Field":
@@ -242,10 +276,18 @@ class Field:
         return self.rep == PHYSICAL
 
     def as_physical(self) -> "Field":
-        return self if self.is_physical else inverse_transform(self)
+        if self.is_physical:
+            return self
+        u = inverse_transform(self)
+        object.__setattr__(u, "_spectrum", self)
+        return u
 
     def as_frequency(self) -> "Field":
-        return self if not self.is_physical else forward_transform(self)
+        if not self.is_physical:
+            return self
+        if self._spectrum is None:
+            object.__setattr__(self, "_spectrum", forward_transform(self))
+        return self._spectrum
 
     def _check_compatible(self, other: "Field") -> None:
         if self.grid != other.grid:
@@ -255,19 +297,19 @@ class Field:
 
     def __add__(self, other: "Field") -> "Field":
         self._check_compatible(other)
-        return Field(self.grid, self.samples + other.samples, self.rep)
+        return _pointwise(np.add, self.rep, self, other)
 
     def __sub__(self, other: "Field") -> "Field":
         self._check_compatible(other)
-        return Field(self.grid, self.samples - other.samples, self.rep)
+        return _pointwise(np.subtract, self.rep, self, other)
 
     def __mul__(self, scalar: complex) -> "Field":
-        return Field(self.grid, self.samples * scalar, self.rep)
+        return _pointwise(lambda a: a * scalar, self.rep, self)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Field":
-        return Field(self.grid, -self.samples, self.rep)
+        return _pointwise(np.negative, self.rep, self)
 
     def __repr__(self) -> str:
         return f"Field(grid={self.grid!r}, rep={self.rep!r})"
@@ -287,9 +329,9 @@ def _inverse_scale(g: Grid) -> float:
 
 
 # Fewer points than this keep the full-grid FFTs even when the array is
-# even: measured per call, a Strang step on the sector breaks even at
-# 64^2 and 16^3 (the crossover table is in CHANGES.md).
-_SECTOR_FLOOR = 4096
+# even: measured per step, the block wins beyond the noise from 12^3 and
+# 48^2 up, and not reliably at 8^3 or 32^2 (the table is in CHANGES.md).
+_SECTOR_FLOOR = 1728
 
 
 def _block(a: np.ndarray) -> np.ndarray:
@@ -328,37 +370,81 @@ def _unfold(block: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _fold_weights(grid: Grid) -> np.ndarray:
+    """Lattice points per slot of the ``[0, n/2]^d`` block of an even array:
+    the product over axes of 1 at slots 0 and n/2 and 2 elsewhere."""
+    w = np.full(grid.points // 2 + 1, 2.0)
+    w[[0, -1]] = 1.0
+    return _readonly(math.prod(np.meshgrid(*([w] * grid.dim), indexing="ij", sparse=True)))
+
+
+def _operands(*operands) -> tuple:
+    """``(weights, arrays)`` of fields and full-lattice arrays on one grid:
+    all their blocks and :func:`_fold_weights` if every field is even,
+    else the samples and the arrays with ``None``."""
+    held = []
+    for op in operands:
+        if not isinstance(op, Field):
+            held.append(_block(op))
+        elif (block := op._even_block()) is not None:
+            held.append(block)
+        else:
+            return None, [o.samples if isinstance(o, Field) else o for o in operands]
+    return _fold_weights(operands[0].grid), held
+
+
+def _pointwise(fn, rep: str, *operands) -> Field:
+    """The field ``fn(*arrays)`` in ``rep``, on the arrays of :func:`_operands`."""
+    weights, arrays = _operands(*operands)
+    grid, out = operands[0].grid, fn(*arrays)
+    return Field._adopt(grid, out, rep, even=weights is not None)
+
+
+def _lattice_sum(fn, *operands) -> float:
+    """``fn(*arrays)`` summed over the lattice (see :func:`_operands`)."""
+    weights, arrays = _operands(*operands)
+    values = fn(*arrays)
+    return float(np.sum(values if weights is None else weights * values))
+
+
+def _lattice_max(f: Field) -> float:
+    """``max |samples|``, read off the block when ``f`` is even."""
+    _, (held,) = _operands(f)
+    return float(np.abs(held).max())
+
+
 def forward_transform(f: Field) -> Field:
     """Physical samples to frequency samples of the continuum transform."""
     _require_rep(f, PHYSICAL, "forward_transform")
     g = f.grid
-    sector = _sector(f.samples)
+    sector = f._even_block()
     if sector is None:
         spec = _checkerboard(g) * _fft.fftn(f.samples)
-        return Field(g, _forward_scale(g) * spec, FREQUENCY)
+        return Field._adopt(g, _forward_scale(g) * spec, FREQUENCY)
     # Reversed, the block runs over x = 0..L/2 from the box centre, so its
     # DCT-I is the box-phase spectrum and no checkerboard is needed.
     spec = _fft.dctn(np.flip(sector), type=1)
     spec *= _forward_scale(g)
-    return Field(g, _unfold(spec, g.points), FREQUENCY)
+    return Field._adopt(g, spec, FREQUENCY, even=True)
 
 
 def inverse_transform(f: Field) -> Field:
     """Frequency samples back to physical samples; inverse of :func:`forward_transform`."""
     _require_rep(f, FREQUENCY, "inverse_transform")
     g = f.grid
-    sector = _sector(f.samples)
+    sector = f._even_block()
     if sector is None:
         phys = _fft.ifftn(_checkerboard(g) * f.samples)
-        return Field(g, _inverse_scale(g) * phys, PHYSICAL)
+        return Field._adopt(g, _inverse_scale(g) * phys, PHYSICAL)
     phys = _fft.dctn(sector, type=1)
     phys *= _inverse_scale(g) / g.size
-    return Field(g, _unfold(np.flip(phys), g.points), PHYSICAL)
+    return Field._adopt(g, np.flip(phys), PHYSICAL, even=True)
 
 
-def _map_spectrum(f: Field, fn) -> Field:
-    """``fn`` applied to the spectrum of ``f``, handed back in the rep of ``f``."""
-    out = Field(f.grid, fn(f.as_frequency().samples), FREQUENCY)
+def _map_spectrum(f: Field, fn, *symbols) -> Field:
+    """``fn(spectrum, *symbols)`` of ``f``, handed back in the rep of ``f``."""
+    out = _pointwise(fn, FREQUENCY, f.as_frequency(), *symbols)
     return out if f.rep == FREQUENCY else out.as_physical()
 
 
@@ -396,15 +482,16 @@ def _band_factors(grid: Grid, factors: int) -> tuple:
     return tuple(_readonly(c) for c in carry)
 
 
-def _padded_product(f: Field, factors: int, pointwise) -> np.ndarray:
-    """Physical samples of ``pointwise(f)``, a ``factors``-fold product,
+def _padded_product(f: Field, factors: int, pointwise) -> Field:
+    """The physical field ``pointwise(f)``, a ``factors``-fold product,
     formed on the padded grid from the band ``[-n/2+1, n/2-1]`` of ``f`` and
     truncated back to that band.
 
     Both grid scales are applied on the band.  An even ``f`` runs on the
     ``[0, n/2]^d`` blocks of both grids, in box phase as in
-    :func:`forward_transform`; there the ``-n/2`` planes are the last slot
-    of each axis and are simply not copied.  Otherwise the box-phase
+    :func:`forward_transform`, into a field held as its block; there the
+    ``-n/2`` planes are the last slot of each axis and are simply not
+    copied.  Otherwise the box-phase
     checkerboards of the two grids agree on every kept mode (both sizes
     are even), so they cancel and are never formed on the padded grid;
     and a real product's truncated spectrum is Hermitian, so it is
@@ -413,7 +500,7 @@ def _padded_product(f: Field, factors: int, pointwise) -> np.ndarray:
     g = f.grid
     half = g.points // 2
     fine, band, halfband = _padding(g, factors)
-    sector = _sector(f.samples)
+    sector = f._even_block()
     if sector is not None:
         scale_in = _inverse_scale(fine) / fine.size
         kept = (slice(0, half),) * g.dim
@@ -428,7 +515,8 @@ def _padded_product(f: Field, factors: int, pointwise) -> np.ndarray:
         prod = np.zeros((half + 1,) * g.dim, dtype=w.dtype)
         scale_out = _forward_scale(fine) * _inverse_scale(g) / g.size
         prod[kept] = scale_out * _fft.dctn(w, type=1, overwrite_x=True)[kept]
-        return _unfold(np.flip(_fft.dctn(prod, type=1, overwrite_x=True)), g.points)
+        prod = np.flip(_fft.dctn(prod, type=1, overwrite_x=True))
+        return Field._adopt(g, prod, PHYSICAL, even=True)
     from_phys, from_freq, to_full, to_half = _band_factors(g, factors)
     spec = np.zeros(fine.shape, dtype=np.complex128)
     if f.is_physical:
@@ -437,8 +525,10 @@ def _padded_product(f: Field, factors: int, pointwise) -> np.ndarray:
         spec[band] = from_freq * f.samples
     w = pointwise(_fft.ifftn(spec, overwrite_x=True))
     if np.isrealobj(w):
-        return _fft.irfftn(to_half * _fft.rfftn(w)[halfband], s=g.shape, overwrite_x=True)
-    return _fft.ifftn(to_full * _fft.fftn(w, overwrite_x=True)[band], overwrite_x=True)
+        w = _fft.irfftn(to_half * _fft.rfftn(w)[halfband], s=g.shape, overwrite_x=True)
+    else:
+        w = _fft.ifftn(to_full * _fft.fftn(w, overwrite_x=True)[band], overwrite_x=True)
+    return Field._adopt(g, w, PHYSICAL)
 
 
 def dealiased_power(f: Field, degree: int) -> Field:
@@ -449,8 +539,7 @@ def dealiased_power(f: Field, degree: int) -> Field:
     """
     if degree < 3 or degree % 2 == 0:
         raise DomainError(f"degree must be odd and >= 3, got {degree}")
-    w = _padded_product(f, degree, lambda u: np.abs(u) ** (degree - 1) * u)
-    out = Field(f.grid, w, PHYSICAL)
+    out = _padded_product(f, degree, lambda u: np.abs(u) ** (degree - 1) * u)
     return out if f.is_physical else forward_transform(out)
 
 
@@ -461,8 +550,7 @@ def dealiased_modulus_power(f: Field, power: int) -> Field:
     """
     if power < 2 or power % 2:
         raise DomainError(f"power must be even and >= 2, got {power}")
-    w = _padded_product(f, power, lambda u: (u.real**2 + u.imag**2) ** (power // 2))
-    return Field(f.grid, w, PHYSICAL)
+    return _padded_product(f, power, lambda u: (u.real**2 + u.imag**2) ** (power // 2))
 
 
 @dataclass(frozen=True)
@@ -525,7 +613,7 @@ def make_radial_data(grid: Grid, profile: RadialProfile) -> Field:
         return out
 
     vals = _radial(grid, fn, space=True)
-    return Field(grid, vals.astype(np.complex128), PHYSICAL)
+    return Field._adopt(grid, vals, PHYSICAL)
 
 
 def tail_mass_fraction(f: Field) -> float:
@@ -535,13 +623,11 @@ def tail_mass_fraction(f: Field) -> float:
     state and wrap-around is about to matter.
     """
     u = f.as_physical()
-    dens = np.abs(u.samples) ** 2
-    total = float(dens.sum())
+    total = _lattice_sum(lambda a: np.abs(a) ** 2, u)
     if total == 0.0:
         return 0.0
     far = _radial(f.grid, lambda r: r > f.grid.extent / 4.0, space=True)
-    outside = float(dens[far].sum())
-    return outside / total
+    return _lattice_sum(lambda a, m: np.where(m, np.abs(a) ** 2, 0.0), u, far) / total
 
 
 def _rows(a: np.ndarray):
@@ -555,12 +641,12 @@ def write_field(f: Field, path) -> None:
 
     Samples are written in row-major order with shortest round-trip
     float formatting, so write/read is bitwise faithful, signed zeros
-    included.  A field of at least 4096 samples that is even bit for bit
+    included.  A field of at least 1728 samples that is even bit for bit
     has its ``[0, n/2]^d`` block formatted and the rows unfolded by
     reflection, which writes the same bytes.
     """
     g = f.grid
-    block = _sector(f.samples)
+    block = f._even_block()
     if block is not None:
         table = np.fromiter(_rows(block), dtype=object, count=block.size)
         rows = _unfold(table.reshape(block.shape), g.points).reshape(-1)
@@ -589,7 +675,8 @@ def _block_rows(fh, n: int, dim: int) -> list | None:
 
 def read_field(path) -> Field:
     """Read a field written by :func:`write_field`, bit for bit.  An even
-    body is parsed from its block rows (:func:`_block_rows`) and unfolded."""
+    body is parsed from its block rows (:func:`_block_rows`), which the
+    field holds."""
     with open(path) as fh:
         try:
             dim, points, extent, rep = fh.readline().split()
@@ -608,4 +695,4 @@ def read_field(path) -> Field:
         raise DomainError(f"expected {math.prod(shape)} rows of two columns, got {data.shape}")
     # A view, not re + 1j*im: that arithmetic turns -0.0 parts into +0.0.
     samples = data.view(np.complex128).reshape(shape)
-    return Field(grid, samples if block is None else _unfold(samples, grid.points), rep)
+    return Field._adopt(grid, samples, rep, even=block is not None)

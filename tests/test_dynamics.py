@@ -14,6 +14,7 @@ from nlsbox import (
     EvolutionParams,
     Field,
     Grid,
+    IMethodConfig,
     InstabilityError,
     MixedNormSpec,
     RadialProfile,
@@ -21,6 +22,7 @@ from nlsbox import (
     UndersamplingWarning,
     energy,
     evolve,
+    increment_ledger,
     linear_flow,
     make_radial_data,
     mass,
@@ -30,6 +32,7 @@ from nlsbox import (
     strang_step,
     write_checkpoint,
 )
+from nlsbox import spectral
 from nlsbox.spectral import _SECTOR_FLOOR
 from oracles import random_field
 
@@ -277,6 +280,24 @@ class TestLatticeSymmetry:
         defect = max(np.abs(s - image).max() for image in images)
         assert defect <= 1e-12 * np.abs(s).max()
 
+    def test_block_held_steps_never_unfold_or_retest(self, monkeypatch):
+        grid = Grid(2, 16.0, 64)
+        spec = gaussian(grid, 1.2, 1.5).as_frequency()
+        calls = []
+        for name in ("_unfold", "_sector"):
+            def counted(*args, _name=name, _fn=getattr(spectral, name)):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(spectral, name, counted)
+        params = EvolutionParams(2, 2, 0.01, 0.02)
+        strang_step(spec, params)
+        strang_step(spec.as_physical(), params)
+        traj = evolve(spec, params)
+        assert calls == []
+        energy(traj.final, 2)
+        mass(traj.final)
+        assert calls == []
+
     def test_sector_run_repeats_bitwise(self):
         grid = Grid(2, 32.0, 64)
         params = EvolutionParams(2, 2, 1e-3, 0.01, sample_every=5)
@@ -355,13 +376,14 @@ class TestGuards:
         with pytest.raises(InstabilityError):
             evolve(f, EvolutionParams(2, 2, 0.01, 0.02))
 
-    # A constant field is even, so 64^2 runs on the [0, n/2]^d block.
-    @pytest.mark.parametrize("points", [16, 64])
-    def test_instability_names_the_first_step_between_samples(self, points):
-        grid = Grid(2, 16.0, points)
+    # A constant field is even, so 64^2 and 16^3 run on the [0, n/2]^d block.
+    @pytest.mark.parametrize("dim,points,k", [(2, 16, 2), (2, 64, 2), (3, 16, 1)],
+                             ids=["16", "64", "16^3"])
+    def test_instability_names_the_first_step_between_samples(self, dim, points, k):
+        grid = Grid(dim, 16.0, points)
         f = Field.physical(grid, np.full(grid.shape, 1e200 + 0j))
         with pytest.raises(InstabilityError, match=r"near t=0\.01$"):
-            evolve(f, EvolutionParams(2, 2, 0.01, 0.1, sample_every=5))
+            evolve(f, EvolutionParams(dim, k, 0.01, 0.1, sample_every=5))
 
     def test_marginally_resolved_data_warns_once(self):
         grid = Grid(2, 16.0, 32)
@@ -433,6 +455,29 @@ class TestCheckpoint:
         for (ta, fa), (tb, fb) in zip(traj, back):
             assert ta == tb
             assert np.array_equal(fa.samples, fb.samples)
+
+    @pytest.mark.parametrize("points", [32, 64], ids=["32^2_fft", "64^2_block"])
+    def test_samples_transform_forward_once(self, monkeypatch, tmp_path, points):
+        # Evolve samples carry the spectrum the run held, and a reloaded
+        # sample keeps its first spectrum, so ledgers at several cutoffs
+        # transform each sample forward at most once.
+        grid = Grid(2, 16.0, points)
+        traj = evolve(gaussian(grid, 1.2, 2.0), EvolutionParams(2, 1, 0.01, 0.04, sample_every=2))
+        write_checkpoint(traj, str(tmp_path))
+        back = read_checkpoint(str(tmp_path))
+        calls = []
+
+        def counted(f, _fn=spectral.forward_transform):
+            calls.append(f)
+            return _fn(f)
+
+        monkeypatch.setattr(spectral, "forward_transform", counted)
+        for n in (1.0, 2.0):
+            cfg = IMethodConfig(N=n, s=0.6, k=1, dim=2)
+            for run in (traj, back):
+                increment_ledger(run, cfg)
+        assert len(calls) == len(back) and {id(f) for f in calls} == {id(f) for f in back.fields}
+        assert all(f.as_frequency() is f.as_frequency() for f in back.fields)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DomainError):

@@ -141,6 +141,54 @@ class TestField:
         assert np.all((2.0 * a).samples == 4.0)
         assert np.all((-a).samples == -2.0)
 
+    @staticmethod
+    def random_block(grid, seed):
+        rng = np.random.default_rng(seed)
+        shape = (grid.points // 2 + 1,) * grid.dim
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("grid", [Grid(2, 16.0, 64), Grid(3, 8.0, 16)], ids=["64^2", "16^3"])
+    def test_block_held_samples_unfold_once_and_stay_immutable(self, grid):
+        block = self.random_block(grid, seed=2)
+        f = spectral.Field._adopt(grid, block.copy(), "frequency", even=True)
+        assert f.samples.tobytes() == spectral._unfold(block, grid.points).tobytes()
+        assert f.samples is f.samples and not f.samples.flags.writeable
+        with pytest.raises(ValueError):
+            f.samples[0, 0] = 2.0
+        for name in ("samples", "rep", "_half", "_spectrum"):
+            with pytest.raises(AttributeError):
+                setattr(f, name, None)
+        assert f._even_block().tobytes() == block.tobytes()
+
+    @pytest.mark.parametrize("case", ["nan", "inf", "full_shape", "short_axis", "wrong_dim"])
+    def test_block_constructor_validation(self, case):
+        grid = Grid(2, 16.0, 64)
+        block = np.ones((33, 33), dtype=complex)
+        if case == "nan":
+            block[5, 32] = complex(1.0, np.nan)
+        elif case == "inf":
+            block[0, 0] = -np.inf
+        else:
+            block = np.ones({"full_shape": (64, 64), "short_axis": (33, 32),
+                             "wrong_dim": (33, 33, 33)}[case], dtype=complex)
+        with pytest.raises(DomainError):
+            spectral.Field._adopt(grid, block, "physical", even=True)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           grid=st.sampled_from([Grid(2, 16.0, 64), Grid(3, 8.0, 16)]))
+    def test_fold_weighted_sum_matches_full_lattice_sum(self, seed, grid):
+        block = self.random_block(grid, seed)
+        full = spectral._unfold(block, grid.points)
+        radius = grid.freq_radius()  # even in FFT order, like every radial symbol
+        for fn, lattice in [(lambda a: np.abs(a) ** 2, ()), (lambda a: np.abs(a) ** 4, ()),
+                            (lambda a, r: r * np.abs(a) ** 2, (radius,))]:
+            want = float(np.sum(fn(full, *lattice)))
+            for f in (spectral.Field._adopt(grid, block, "frequency", even=True),
+                      Field.frequency(grid, full)):
+                got = spectral._lattice_sum(fn, f, *lattice)
+                assert abs(got - want) <= 1e-14 * want
+
     def test_rep_mismatch(self, grid2d_small):
         a = Field.physical(grid2d_small, np.ones(grid2d_small.shape))
         b = Field.frequency(grid2d_small, np.ones(grid2d_small.shape))
