@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, ResolutionError, _require_real
-from .spectral import Field, Grid, _map_spectrum, _radial
+from .spectral import Field, Grid, _map_spectrum, _radial, _readonly
 
 __all__ = [
     "RadialSymbol",
@@ -110,10 +110,18 @@ def apply_symbol(f: Field, symbol: RadialSymbol) -> Field:
             f"symbol {symbol.label!r} needs frequencies up to {symbol.cutoff:.4g}, "
             f"grid Nyquist is {grid.nyquist:.4g}"
         )
-    values = _radial(grid, symbol)
+    return _map_spectrum(f, lambda spec, v: v * spec, partial(_symbol_values, grid, symbol))
+
+
+# Symbol values per grid and block flag, tested when filled; the symbols of
+# i_operator_symbol and _sobolev_symbol, one object per parameter, hit.  An
+# entry is 8 n^d bytes for a real symbol (2 MiB at 64^3), 8 (n/2+1)^d on the block.
+@lru_cache(maxsize=16)
+def _symbol_values(grid: Grid, symbol: RadialSymbol, block: bool) -> np.ndarray:
+    values = _radial(grid, symbol, block)
     if not np.all(np.isfinite(values)):
         raise DomainError(f"symbol {symbol.label!r} is not finite on the lattice")
-    return _map_spectrum(f, lambda spec, v: v * spec, values)
+    return _readonly(values)
 
 
 @dataclass(frozen=True)
@@ -160,7 +168,7 @@ def _sharp_pass(f: Field, lam: float, keep_low: bool) -> Field:
         raise ResolutionError(
             f"cutoff {lam:.4g} must lie in (0, Nyquist={grid.nyquist:.4g})"
         )
-    mask = _radial(grid, lambda r: r <= lam if keep_low else r > lam)
+    mask = partial(_radial, grid, lambda r: r <= lam if keep_low else r > lam)
     return _map_spectrum(f, lambda spec, m: np.where(m, spec, 0.0), mask)
 
 
@@ -185,10 +193,14 @@ def i_operator_symbol(N: float, s: float) -> RadialSymbol:
     The symbol records ``cutoff = 2N`` so applications on grids that
     cannot see the decaying branch are rejected.
     """
-    N = _require_real("N", N, positive=True)
-    if not 0.0 < _require_real("s", s) < 1.0:
+    N, s = _require_real("N", N, positive=True), _require_real("s", s)
+    if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0, 1), got {s}")
+    return _i_operator_symbol(N, s)
 
+
+@lru_cache(maxsize=16)
+def _i_operator_symbol(N: float, s: float) -> RadialSymbol:
     def fn(r: np.ndarray) -> np.ndarray:
         out = np.ones_like(r)
         high = r >= 2.0 * N
@@ -202,11 +214,13 @@ def i_operator_symbol(N: float, s: float) -> RadialSymbol:
 
 
 def _sobolev_symbol(s: float, inhomogeneous: bool = False) -> RadialSymbol:
-    """``|xi|^s``, or ``(1+|xi|^2)^(s/2)`` with ``inhomogeneous``.
+    """``|xi|^s``, or ``(1+|xi|^2)^(s/2)`` with ``inhomogeneous``; the first
+    annihilates the zero mode for every ``s != 0``, and both are 1 at ``s = 0``."""
+    return _sobolev(_require_real("s", s), bool(inhomogeneous))
 
-    The homogeneous symbol annihilates the zero mode for every ``s != 0``;
-    at ``s = 0`` both symbols are identically 1.
-    """
+
+@lru_cache(maxsize=16)
+def _sobolev(s: float, inhomogeneous: bool) -> RadialSymbol:
     if inhomogeneous:
         return RadialSymbol(f"bessel_{s:g}", lambda r: (1.0 + r * r) ** (0.5 * s))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +24,7 @@ from .errors import (
     _require_real,
     _require_same_dim,
 )
-from .multipliers import _sobolev_symbol, fractional_derivative
+from .multipliers import _sobolev_symbol, _symbol_values, fractional_derivative
 from .spectral import Field, _lattice_max, _lattice_sum, _radial, dealiased_modulus_power
 
 __all__ = [
@@ -43,7 +44,7 @@ def lebesgue_norm(f: Field, p: float) -> float:
     _require_exponent("p", p)
     u = f.as_physical()
     if math.isinf(p):
-        return _lattice_max(u)
+        return _lattice_max(np.abs, u)
     return (_lattice_sum(lambda a: np.abs(a) ** p, u) * f.grid.cell_volume) ** (1.0 / p)
 
 
@@ -56,7 +57,7 @@ def sobolev_norm(f: Field, s: float, homogeneous: bool = True) -> float:
     """
     g = f.grid
     s = _require_real("s", s)
-    w = _radial(g, _sobolev_symbol(2.0 * s, inhomogeneous=not homogeneous))
+    w = partial(_symbol_values, g, _sobolev_symbol(2.0 * s, inhomogeneous=not homogeneous))
     total = _lattice_sum(lambda a, sym: sym * (a.real**2 + a.imag**2), f.as_frequency(), w)
     return math.sqrt(total * g.freq_cell_volume)
 
@@ -127,14 +128,14 @@ def weighted_radial_sup(
     f: Field, weight_power: float, radius: float | None = None
 ) -> float:
     """``sup |x|^w |f(x)|`` over the lattice, or over its ball ``|x| <= radius``."""
-    u = f.as_physical()
-    with np.errstate(divide="ignore"):
-        weight = _radial(f.grid, lambda r: r**weight_power, space=True)
-    values = weight * np.abs(u.samples)
-    if radius is not None:
-        radius = _require_real("radius", radius, positive=True)
-        values = values[f.grid.space_radius() <= radius]
-    return float(values.max())
+    radius = math.inf if radius is None else _require_real("radius", radius, positive=True)
+
+    def weight(r: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return np.where(r <= radius, r**weight_power, 0.0)
+
+    weights = partial(_radial, f.grid, weight, space=True)
+    return _lattice_max(lambda a, w: w * np.abs(a), f.as_physical(), weights)
 
 
 def strichartz_admissible(p: float, q: float, dim: int) -> bool:

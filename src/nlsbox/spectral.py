@@ -35,12 +35,14 @@ Radial data are even in every axis, ``a[j] = a[n-j]`` in either storage
 order, and an even array is fixed by its ``[0, n/2]^d`` block, whose
 type-I DCT is the array's DFT.  A field is tested for evenness at most
 once; when it holds, that block is transformed on the coarse grid and on
-the padded grid alike, and lattice sums fold onto it.  What is made from
-an even field holds only its block (see :class:`Field`), so a radial run
-stays on the block from step to step and is never tested again.  Arrays
-of fewer than 1728 points (below ``12^3``, or ``42^2`` in 2d) always
-take the full-grid FFTs, where the block's fixed costs outweigh its
-smaller transforms.
+the padded grid alike, lattice sums fold onto it, and the symbols, masks
+and phases an operation is handed as functions are gathered on it alone
+(the phases and the Sobolev and smoothing symbols once per grid).  What
+is made from an even field or a radial profile holds only its block (see
+:class:`Field`), so a radial run stays on the block from step to step and
+is never tested again.  Arrays of fewer than 1728 points (below ``12^3``,
+or ``42^2`` in 2d) always take the full-grid FFTs, where the block's
+fixed costs outweigh its smaller transforms.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice
 
 import numpy as np
@@ -174,25 +176,27 @@ def _freq_axis(grid: Grid) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _mode_norm_sq(grid: Grid, space: bool) -> np.ndarray:
-    """Integer ``|m|^2`` over the lattice, in physical storage order for
-    ``x`` and FFT order for ``xi``; exact, so every lattice symmetry fixes it."""
+def _mode_norm_sq(grid: Grid, space: bool, block: bool = False) -> np.ndarray:
+    """Integer ``|m|^2`` over the lattice, or its ``[0, n/2]^d`` block, in
+    physical storage order for ``x`` (``m`` from ``-n/2``) and FFT order for
+    ``xi``; exact, so every lattice symmetry fixes it."""
     m = np.arange(grid.points, dtype=np.int64) - grid.points // 2
     if not space:
         m = np.fft.ifftshift(m)
+    m = m[: grid.points // 2 + 1] if block else m
     axes = np.meshgrid(*([m * m] * grid.dim), indexing="ij", sparse=True)
     return _readonly(sum(axes[1:], axes[0]))
 
 
-def _radial(grid: Grid, fn, space: bool = False) -> np.ndarray:
-    """``fn(|xi|)`` over the frequency lattice, or ``fn(|x|)`` with ``space``.
+def _radial(grid: Grid, fn, block: bool = False, space: bool = False) -> np.ndarray:
+    """``fn(|xi|)``, or ``fn(|x|)`` with ``space``, over the lattice or its block.
 
     ``fn`` sees the radii ``step * sqrt(j)`` for every integer ``j`` up to
     the largest ``|m|^2``, once, and the table is indexed by ``|m|^2``.
     """
     step = grid.dx if space else grid.freq_step
     radii = step * np.sqrt(np.arange(grid.dim * (grid.points // 2) ** 2 + 1))
-    return np.broadcast_to(fn(radii), radii.shape)[_mode_norm_sq(grid, space)]
+    return np.broadcast_to(fn(radii), radii.shape)[_mode_norm_sq(grid, space, block)]
 
 
 @lru_cache(maxsize=None)
@@ -209,11 +213,11 @@ class Field:
     ``-L/2``); frequency samples are stored in FFT order matching
     :meth:`Grid.freq_axis`.
 
-    A field that the transforms, products, multipliers, phases, arithmetic
-    or :func:`read_field` make from even input holds only its ``[0, n/2]^d``
-    block, and ``samples`` unfolds it (read-only) when first read.  A
-    physical field keeps the spectrum it was inverted from, or else its
-    first :meth:`as_frequency`.
+    A field that the transforms, products, multipliers, phases, arithmetic,
+    :func:`read_field` or :func:`make_radial_data` make from even input (or
+    a radial profile) holds only its ``[0, n/2]^d`` block, and ``samples``
+    unfolds it (read-only) when first read.  A physical field keeps the
+    spectrum it was inverted from, or else its first :meth:`as_frequency`.
     """
 
     __slots__ = ("grid", "rep", "_samples", "_half", "_spectrum")
@@ -380,18 +384,15 @@ def _fold_weights(grid: Grid) -> np.ndarray:
 
 
 def _operands(*operands) -> tuple:
-    """``(weights, arrays)`` of fields and full-lattice arrays on one grid:
-    all their blocks and :func:`_fold_weights` if every field is even,
-    else the samples and the arrays with ``None``."""
-    held = []
+    """``(weights, arrays)`` of fields and lattice functions ``op(block)``
+    (:func:`_radial` with the grid and ``fn`` bound, or a cache of it) on
+    one grid: the blocks, the values on the block and :func:`_fold_weights`
+    if every field is even, else the samples, ``op(False)`` and ``None``."""
     for op in operands:
-        if not isinstance(op, Field):
-            held.append(_block(op))
-        elif (block := op._even_block()) is not None:
-            held.append(block)
-        else:
-            return None, [o.samples if isinstance(o, Field) else o for o in operands]
-    return _fold_weights(operands[0].grid), held
+        if isinstance(op, Field) and op._even_block() is None:
+            return None, [o.samples if isinstance(o, Field) else o(False) for o in operands]
+    return _fold_weights(operands[0].grid), [
+        o._half if isinstance(o, Field) else o(True) for o in operands]
 
 
 def _pointwise(fn, rep: str, *operands) -> Field:
@@ -408,10 +409,9 @@ def _lattice_sum(fn, *operands) -> float:
     return float(np.sum(values if weights is None else weights * values))
 
 
-def _lattice_max(f: Field) -> float:
-    """``max |samples|``, read off the block when ``f`` is even."""
-    _, (held,) = _operands(f)
-    return float(np.abs(held).max())
+def _lattice_max(fn, *operands) -> float:
+    """The largest value of ``fn(*arrays)`` over the lattice (see :func:`_operands`)."""
+    return float(np.max(fn(*_operands(*operands)[1])))
 
 
 def forward_transform(f: Field) -> Field:
@@ -443,7 +443,7 @@ def inverse_transform(f: Field) -> Field:
 
 
 def _map_spectrum(f: Field, fn, *symbols) -> Field:
-    """``fn(spectrum, *symbols)`` of ``f``, handed back in the rep of ``f``."""
+    """``fn(spectrum, *symbols)`` of ``f`` (lattice functions), in the rep of ``f``."""
     out = _pointwise(fn, FREQUENCY, f.as_frequency(), *symbols)
     return out if f.rep == FREQUENCY else out.as_physical()
 
@@ -612,8 +612,8 @@ def make_radial_data(grid: Grid, profile: RadialProfile) -> Field:
             out = out + a * np.exp(-r2 / (2.0 * wi * wi)) * np.cos(ka * r)
         return out
 
-    vals = _radial(grid, fn, space=True)
-    return Field._adopt(grid, vals, PHYSICAL)
+    even = grid.size >= _SECTOR_FLOOR  # gathered on the block, held untested
+    return Field._adopt(grid, _radial(grid, fn, even, space=True), PHYSICAL, even)
 
 
 def tail_mass_fraction(f: Field) -> float:
@@ -626,7 +626,7 @@ def tail_mass_fraction(f: Field) -> float:
     total = _lattice_sum(lambda a: np.abs(a) ** 2, u)
     if total == 0.0:
         return 0.0
-    far = _radial(f.grid, lambda r: r > f.grid.extent / 4.0, space=True)
+    far = partial(_radial, f.grid, lambda r: r > f.grid.extent / 4.0, space=True)
     return _lattice_sum(lambda a, m: np.where(m, np.abs(a) ** 2, 0.0), u, far) / total
 
 

@@ -12,6 +12,7 @@ from nlsbox import (
     MixedNormSpec,
     ProjectionBank,
     apply_symbol,
+    dynamics,
     high_pass,
     i_operator_symbol,
     lebesgue_norm,
@@ -21,6 +22,7 @@ from nlsbox import (
     mixed_norm,
     sobolev_norm,
     spectral,
+    weighted_radial_sup,
 )
 from nlsbox.errors import ConfigError
 from nlsbox.experiments import (
@@ -490,6 +492,28 @@ class TestStudies:
             "forward_transform": cfg.corpus_count,
             "linear_flow": 2 * 17 * cfg.corpus_count,
         }
+
+    def test_battery_never_unfolds_and_gathers_each_phase_once(self, tmp_path, monkeypatch):
+        text = INEQ_3D_TEXT.replace("points = 16", "points = 32")
+        cfg = load_config(write_config(tmp_path / "a.ini", text))
+        first, second = radial_corpus(cfg.grid, 2, cfg.seed)
+        assert first._samples is None and second._samples is None  # held blocks
+        _, _, _, constants = studies._battery(cfg)
+        unfolds = []
+        unfold = spectral._unfold
+
+        def counted(*args):
+            unfolds.append(args[1])
+            return unfold(*args)
+
+        monkeypatch.setattr(spectral, "_unfold", counted)
+        dynamics._quadratic_phase.cache_clear()
+        constants(first)
+        weighted_radial_sup(first, 1.0, cfg.grid.extent / 4.0)
+        assert dynamics._quadratic_phase.cache_info().misses == 17  # one per flow time
+        constants(second)
+        assert dynamics._quadratic_phase.cache_info().misses == 17
+        assert unfolds == []
 
     @pytest.mark.parametrize("text", [INEQ_2D_TEXT, INEQ_3D_TEXT], ids=["2d", "3d"])
     def test_battery_constants_match_the_per_case_formulas(self, tmp_path, text):

@@ -14,6 +14,8 @@ from nlsbox import (
     Field,
     Grid,
     ProjectionBank,
+    RadialProfile,
+    RadialSymbol,
     ResolutionError,
     apply_symbol,
     fractional_derivative,
@@ -21,8 +23,11 @@ from nlsbox import (
     i_operator_symbol,
     low_pass,
     lp_project,
+    make_radial_data,
     smooth_cutoff,
+    sobolev_norm,
 )
+from nlsbox.multipliers import _sobolev_symbol
 from oracles import random_field
 
 
@@ -200,6 +205,43 @@ class TestSmoothingSymbol:
             i_operator_symbol(2.0, 1.0)
         with pytest.raises(DomainError):
             i_operator_symbol(2.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [[1.0], math.nan, "1.0"], ids=["list", "nan", "str"])
+    def test_validation_comes_before_the_cache(self, bad):
+        with pytest.raises(DomainError, match="N must"):
+            i_operator_symbol(bad, 0.5)
+        with pytest.raises(DomainError, match="s must"):
+            i_operator_symbol(2.0, bad)
+        with pytest.raises(DomainError, match="s must"):
+            _sobolev_symbol(bad)
+        with pytest.raises(DomainError, match="s must"):
+            fractional_derivative(random_field(Grid(2, 8.0, 16), seed=1), bad)
+        assert i_operator_symbol(2.0, 0.5) is i_operator_symbol(2, 0.5)
+        assert _sobolev_symbol(1.5, True) is _sobolev_symbol(1.5, inhomogeneous=True)
+
+    @pytest.mark.parametrize("even", [True, False], ids=["even", "full_grid"])
+    def test_non_finite_symbol_raises_every_time(self, even):
+        grid = Grid(2, 16.0, 64)
+        f = make_radial_data(grid, RadialProfile("gaussian", 1.0, 1.0)) if even else random_field(
+            grid, seed=2)
+        assert (f._even_block() is not None) == even
+        evaluations = []
+
+        def fn(r):
+            evaluations.append(r.size)
+            return np.where(r > 1.0, np.inf, 1.0)
+
+        symbol = RadialSymbol("blowup", fn)
+        for count in (1, 2):  # a failed fill is not kept
+            with pytest.raises(DomainError, match="'blowup' is not finite"):
+                apply_symbol(f, symbol)
+            assert len(evaluations) == count
+        finite = RadialSymbol("finite", lambda r: evaluations.append(r.size) or np.cos(r))
+        apply_symbol(f, finite)
+        apply_symbol(f.as_frequency(), finite)
+        assert len(evaluations) == 3  # a filled one is
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="'riesz_300'"):
+            sobolev_norm(f, 150.0)  # its weight |xi|^300 overflows
 
     def test_cutoff_enforced_on_grid(self):
         grid = Grid(2, 32.0, 64)  # Nyquist = 2*pi

@@ -2,6 +2,7 @@
 products against convolution oracles, radial data invariances, field IO."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -180,10 +181,10 @@ class TestField:
     def test_fold_weighted_sum_matches_full_lattice_sum(self, seed, grid):
         block = self.random_block(grid, seed)
         full = spectral._unfold(block, grid.points)
-        radius = grid.freq_radius()  # even in FFT order, like every radial symbol
+        radius = partial(spectral._radial, grid, lambda r: r)  # a lattice function
         for fn, lattice in [(lambda a: np.abs(a) ** 2, ()), (lambda a: np.abs(a) ** 4, ()),
                             (lambda a, r: r * np.abs(a) ** 2, (radius,))]:
-            want = float(np.sum(fn(full, *lattice)))
+            want = float(np.sum(fn(full, *(op(False) for op in lattice))))
             for f in (spectral.Field._adopt(grid, block, "frequency", even=True),
                       Field.frequency(grid, full)):
                 got = spectral._lattice_sum(fn, f, *lattice)
@@ -413,6 +414,37 @@ class TestEvenSector:
 
 
 class TestRadialData:
+    @pytest.mark.parametrize("grid", [Grid(2, 16.0, 64), Grid(2, 9.0, 36), Grid(2, 8.5, 34),
+                                      Grid(3, 8.0, 16), Grid(3, 9.0, 18)],
+                             ids=["64^2", "36^2", "34^2", "16^3", "18^3"])
+    @pytest.mark.parametrize("space", [True, False], ids=["physical", "frequency"])
+    def test_block_gather_is_block_of_full_gather(self, grid, space):
+        # In physical order the block runs over m = -n/2..0, in FFT order
+        # over m = 0..n/2-1 and -n/2; n/2 is odd at 34^2 and 18^3.
+        fn = lambda r: np.cos(r) + 1j * r  # noqa: E731
+        full = spectral._radial(grid, fn, space=space)
+        block = spectral._radial(grid, fn, block=True, space=space)
+        assert block.shape == (grid.points // 2 + 1,) * grid.dim
+        assert block.tobytes() == np.ascontiguousarray(spectral._block(full)).tobytes()
+
+    @pytest.mark.parametrize("grid", [Grid(2, 16.0, 64), Grid(3, 8.0, 16)], ids=["64^2", "16^3"])
+    @pytest.mark.parametrize("kind,seed", [("gaussian", None), ("smooth_bump", None),
+                                           ("random_radial_superposition", 5)])
+    def test_held_block_unfolds_to_full_gather(self, monkeypatch, grid, kind, seed):
+        profile = RadialProfile(kind, 1.3, 4.0 * grid.dx, seed)
+        held = make_radial_data(grid, profile)
+        assert held._samples is None and held._half.shape == (grid.points // 2 + 1,) * grid.dim
+        monkeypatch.setattr(spectral, "_SECTOR_FLOOR", math.inf)  # the full-lattice gather
+        full = make_radial_data(grid, profile)
+        assert full._half is None
+        assert held.samples.tobytes() == full.samples.tobytes()
+
+    def test_below_floor_holds_full_samples(self):
+        grid = Grid(2, 16.0, 32)
+        assert grid.size < spectral._SECTOR_FLOOR
+        f = make_radial_data(grid, RadialProfile("gaussian", 1.0, 2.0))
+        assert f._half is None and f._samples.shape == grid.shape
+
     def test_gaussian_origin_value(self, grid2d_medium):
         f = make_radial_data(grid2d_medium, RadialProfile("gaussian", 3.0, 1.0))
         origin = (grid2d_medium.points // 2,) * 2
