@@ -37,6 +37,7 @@ from .spectral import (
     _lattice_max,
     _lattice_sum,
     _map_spectrum,
+    _mass_fraction,
     _pointwise,
     _radial,
     _readonly,
@@ -211,13 +212,12 @@ def strang_step(f: Field, params: EvolutionParams) -> Field:
 
 
 def _tail_fraction(f: Field) -> float:
+    """Share of the spectral mass at ``|xi| >= 2/3`` Nyquist; 0 if that mass overflows."""
     spec = f.as_frequency()
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = _lattice_sum(lambda s: np.abs(s) ** 2, spec)
-        if total == 0.0 or not math.isfinite(total):
-            return 0.0
-        outer = partial(_radial, f.grid, lambda r: r >= _TAIL_BAND_START * f.grid.nyquist)
-        return _lattice_sum(lambda s, m: np.where(m, np.abs(s) ** 2, 0.0), spec, outer) / total
+    outer = partial(_radial, f.grid, lambda r: r >= _TAIL_BAND_START * f.grid.nyquist)
+    with np.errstate(over="ignore", invalid="ignore"):  # a blowing-up run
+        frac = _mass_fraction(spec, outer)
+    return frac if math.isfinite(frac) else 0.0
 
 
 def _check_health(u: Field, t: float, peak0: float, notes: list) -> float:

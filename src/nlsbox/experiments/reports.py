@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from pathlib import Path
 
 __all__ = ["StudyReport", "atomic_write_text", "stage_csv", "write_report", "write_rows"]
 
@@ -40,18 +41,15 @@ class StudyReport:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def atomic_write_text(path, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
-
-
 def stage_csv(writer, path) -> None:
     """Run a ``writer(path)`` callable against a staging file, then move it."""
     tmp = f"{path}.tmp"
     writer(tmp)
     os.replace(tmp, path)
+
+
+def atomic_write_text(path, text: str) -> None:
+    stage_csv(lambda tmp: Path(tmp).write_text(text), path)
 
 
 def _cell(value) -> str:

@@ -8,17 +8,16 @@ flow is measured here: pointwise through the commutator (Iu)^(2k+1) -
 I(u^(2k+1)), and along trajectories through an increment ledger that sums
 the jumps of E(Iu) between samples.
 
-Rescaling helpers shrink a datum until its truncated energy falls under a
-fixed threshold, mirroring how scaling arguments normalise the problem
-before running the almost-conservation machinery.
+``rescale`` dilates a datum exactly on the lattice, u_lam(x) = lam^alpha
+u(lam x), the scaling the paper uses to make the truncated energy small.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import logging
 import math
 import warnings as _warnings
+from functools import partial
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .dynamics import _sample_list, energy, linear_flow
 from .errors import (
     AtomicIntervalError,
     DomainError,
-    ResolutionError,
     UndersamplingWarning,
     _require_count,
     _require_equation,
@@ -35,13 +33,11 @@ from .errors import (
 )
 from .multipliers import apply_symbol, i_operator_symbol
 from .norms import DiagnosticSeries, lebesgue_norm, sobolev_norm
-from .spectral import PHYSICAL, Field, Grid, dealiased_power
+from .spectral import PHYSICAL, Field, Grid, _lattice_max, _radial, dealiased_power
 
 __all__ = [
     "IMethodConfig",
     "IncrementLedger",
-    "LambdaChoice",
-    "choose_lambda",
     "commutator",
     "critical_exponent",
     "increment_ledger",
@@ -50,13 +46,7 @@ __all__ = [
     "rescale",
     "scattering_diagnostic",
     "vanishing_constant",
-    "vanishing_identity_check",
 ]
-
-logger = logging.getLogger(__name__)
-
-# Halvings of the dilation factor tried before the search gives up.
-_MAX_HALVINGS = 60
 
 
 def critical_exponent(dim: int, k: int) -> float:
@@ -124,68 +114,14 @@ def rescale(f: Field, lam: float, k: int) -> Field:
     return Field(scaled_grid, samples, PHYSICAL)
 
 
-@dataclasses.dataclass(frozen=True)
-class LambdaChoice:
-    """Outcome of the dilation search: the factor, the rescaled datum,
-    its truncated energy, and the power-law prediction for comparison."""
-
-    lam: float
-    rescaled: Field
-    energy_value: float
-    predicted_lam: float
-
-
-def choose_lambda(
-    f: Field,
-    cfg: IMethodConfig,
-    threshold: float = 0.5,
-) -> LambdaChoice:
-    """Shrink the datum by powers of two until E(I u_lam) <= threshold.
-
-    The search starts at lam = 1 and halves.  Dilation enlarges the box,
-    which lowers the grid's Nyquist frequency, so a resolution error is
-    raised if the smoothing cutoff 2N stops fitting before the energy
-    target is met.  The accepted factor is logged next to the power law
-    N^((s-1)/(s-s_c)) that scaling heuristics predict.
-    """
-    _require_same_dim("field", f.grid.dim, cfg.dim)
-    _require_real("threshold", threshold, positive=True)
-    lam = 1.0
-    for _ in range(_MAX_HALVINGS + 1):
-        scaled = rescale(f, lam, cfg.k)
-        try:
-            value = modified_energy(scaled, cfg)
-        except ResolutionError as exc:
-            raise ResolutionError(
-                f"dilation lam={lam!r} lowered the Nyquist frequency below the "
-                f"smoothing cutoff 2N={2 * cfg.N} before reaching the energy "
-                f"threshold {threshold}"
-            ) from exc
-        if value <= threshold:
-            exponent = (cfg.s - 1.0) / (cfg.s - cfg.critical)
-            predicted = cfg.N**exponent
-            logger.info(
-                "choose_lambda: lam=%g (predicted %g from N^%g), E(Iu)=%g",
-                lam,
-                predicted,
-                exponent,
-                value,
-            )
-            return LambdaChoice(lam, scaled, value, predicted)
-        lam /= 2.0
-    raise DomainError(
-        f"energy stayed above {threshold} after {_MAX_HALVINGS} halvings"
-    )
-
-
 def _excitation_radius(f: Field) -> float:
+    """Largest |xi| at which |fhat| exceeds 1e-13 of its peak, 0 for a zero field."""
     spec = f.as_frequency()
-    mag = np.abs(spec.samples)
-    peak = float(mag.max())
+    peak = _lattice_max(np.abs, spec)
     if peak == 0.0:
         return 0.0
-    mask = mag > 1e-13 * peak
-    return float(f.grid.freq_radius()[mask].max())
+    radius = partial(_radial, f.grid, lambda r: r)
+    return _lattice_max(lambda s, r: np.where(np.abs(s) > 1e-13 * peak, r, 0.0), spec, radius)
 
 
 def commutator(f: Field, cfg: IMethodConfig) -> Field:
@@ -211,22 +147,6 @@ def commutator(f: Field, cfg: IMethodConfig) -> Field:
     smoothed_first = dealiased_power(apply_symbol(f, symbol), degree)
     smoothed_last = apply_symbol(dealiased_power(f, degree), symbol)
     return smoothed_first - smoothed_last
-
-
-def vanishing_identity_check(f: Field, cfg: IMethodConfig) -> bool:
-    """Whether the smoothing defect of f vanishes at working precision.
-
-    When every frequency of f sits below c(k) N with c(1) = 1/8 and
-    c(k) = 1/(2k+2) otherwise, all product frequencies stay below N,
-    the symbol is 1 throughout, and the defect is identically zero.  The
-    field is used exactly as given; no low-pass is applied on its behalf.
-    The tolerance scales with |f|_inf^(2k) |f|_2, the natural size of
-    the product.
-    """
-    defect = commutator(f, cfg)
-    value = lebesgue_norm(defect, 2.0)
-    scale = lebesgue_norm(f, math.inf) ** (2 * cfg.k) * lebesgue_norm(f, 2.0)
-    return value <= 1e-12 * scale
 
 
 def vanishing_constant(k: int) -> float:

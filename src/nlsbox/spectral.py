@@ -616,18 +616,22 @@ def make_radial_data(grid: Grid, profile: RadialProfile) -> Field:
     return Field._adopt(grid, _radial(grid, fn, even, space=True), PHYSICAL, even)
 
 
+def _mass_fraction(f: Field, where) -> float:
+    """Share of the summed ``|f|^2`` on the lattice mask ``where``; 0 for a zero field."""
+    total = _lattice_sum(lambda a: np.abs(a) ** 2, f)
+    if total == 0.0:
+        return 0.0
+    return _lattice_sum(lambda a, m: np.where(m, np.abs(a) ** 2, 0.0), f, where) / total
+
+
 def tail_mass_fraction(f: Field) -> float:
     """Fraction of the squared L2 mass outside the ball ``|x| > extent/4``.
 
     A value above ``1e-6`` signals that the box is too small for the
     state and wrap-around is about to matter.
     """
-    u = f.as_physical()
-    total = _lattice_sum(lambda a: np.abs(a) ** 2, u)
-    if total == 0.0:
-        return 0.0
     far = partial(_radial, f.grid, lambda r: r > f.grid.extent / 4.0, space=True)
-    return _lattice_sum(lambda a, m: np.where(m, np.abs(a) ** 2, 0.0), u, far) / total
+    return _mass_fraction(f.as_physical(), far)
 
 
 def _rows(a: np.ndarray):

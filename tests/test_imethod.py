@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nlsbox import spectral
+from nlsbox import imethod, spectral
 from nlsbox import (
     AtomicIntervalError,
     DiagnosticSeries,
@@ -20,7 +20,6 @@ from nlsbox import (
     RadialProfile,
     ResolutionError,
     UndersamplingWarning,
-    choose_lambda,
     commutator,
     critical_exponent,
     energy,
@@ -39,7 +38,6 @@ from nlsbox import (
     scattering_diagnostic,
     sobolev_norm,
     vanishing_constant,
-    vanishing_identity_check,
 )
 from oracles import (
     coefficients_to_spectrum,
@@ -207,42 +205,6 @@ class TestRescale:
             rescale(f, 0.5, 7)
 
 
-class TestChooseLambda:
-    def test_finds_minimal_halving(self):
-        grid = Grid(2, 16.0, 64)
-        f = gaussian(grid, 0.65, 1.5)
-        cfg = IMethodConfig(2.0, 0.75, 2, 2)
-        choice = choose_lambda(f, cfg)
-        assert choice.lam <= 1.0
-        mantissa, _ = math.frexp(choice.lam)
-        assert mantissa == 0.5
-        assert choice.energy_value <= 0.5
-        assert choice.energy_value == pytest.approx(
-            modified_energy(choice.rescaled, cfg), rel=1e-14
-        )
-        if choice.lam < 1.0:
-            undone = rescale(f, 2.0 * choice.lam, cfg.k)
-            assert modified_energy(undone, cfg) > 0.5
-        assert 0.0 < choice.predicted_lam < 1.0
-
-    def test_resolution_runs_out(self):
-        # A big datum needs many halvings, but each one enlarges the box
-        # and squeezes the Nyquist frequency onto the smoothing cutoff.
-        grid = Grid(2, 16.0, 64)
-        f = gaussian(grid, 3.0, 1.5)
-        cfg = IMethodConfig(2.0, 0.75, 2, 2)
-        with pytest.raises(ResolutionError):
-            choose_lambda(f, cfg)
-
-    def test_threshold_validation(self):
-        grid = Grid(2, 16.0, 64)
-        f = gaussian(grid, 0.65, 1.5)
-        cfg = IMethodConfig(2.0, 0.75, 2, 2)
-        for bad in (True, 0.0, -0.5, float("nan"), float("inf"), 10**400):
-            with pytest.raises(DomainError):
-                choose_lambda(f, cfg, threshold=bad)
-
-
 def _oracle_commutator(f, cfg, band):
     """Smoothing defect by direct convolution on coefficient cubes."""
     grid = f.grid
@@ -312,6 +274,14 @@ class TestCommutator:
             commutator(f, cfg)
 
 
+def defect_and_bound(f, cfg):
+    """|(Iu)^(2k+1) - I(u^(2k+1))|_2 and working precision for it,
+    1e-12 |f|_inf^(2k) |f|_2, the natural size of the product."""
+    defect = lebesgue_norm(commutator(f, cfg), 2.0)
+    scale = lebesgue_norm(f, math.inf) ** (2 * cfg.k) * lebesgue_norm(f, 2.0)
+    return defect, 1e-12 * scale
+
+
 class TestVanishingIdentity:
     def test_low_modes_vanish_2d(self):
         # All content below c(1) N = N/8 keeps every product below N,
@@ -321,7 +291,8 @@ class TestVanishingIdentity:
         cut = vanishing_constant(1) * cfg.N
         f = mode_sum(grid, [(0.7, (1, 0)), (0.45, (0, 1))])
         assert grid.freq_step * 1 < cut
-        assert vanishing_identity_check(f, cfg)
+        defect, bound = defect_and_bound(f, cfg)
+        assert defect <= bound
 
     def test_opposed_pair_above_cut_fails_2d(self):
         # Modes at 0.39 N on opposite rays combine to 3 x 0.39 N > N,
@@ -330,26 +301,61 @@ class TestVanishingIdentity:
         cfg = IMethodConfig(4.0, 0.75, 1, 2)
         f = mode_sum(grid, [(1.0, (4, 0)), (1.0, (-4, 0))])
         assert grid.freq_step * 4 > vanishing_constant(1) * cfg.N
-        assert not vanishing_identity_check(f, cfg)
+        defect, bound = defect_and_bound(f, cfg)
+        assert defect > bound
 
     def test_low_modes_vanish_3d(self):
         grid = Grid(3, 32.0, 48)
         cfg = IMethodConfig(2.0, 0.75, 1, 3)
         f = mode_sum(grid, [(0.8, (1, 0, 0)), (0.5, (0, 0, 1))])
         assert grid.freq_step * 1 < vanishing_constant(1) * cfg.N
-        assert vanishing_identity_check(f, cfg)
+        defect, bound = defect_and_bound(f, cfg)
+        assert defect <= bound
 
     def test_opposed_pair_above_cut_fails_3d(self):
         grid = Grid(3, 32.0, 48)
         cfg = IMethodConfig(2.0, 0.75, 1, 3)
         f = mode_sum(grid, [(1.0, (4, 0, 0)), (1.0, (-4, 0, 0))])
-        assert not vanishing_identity_check(f, cfg)
+        defect, bound = defect_and_bound(f, cfg)
+        assert defect > bound
 
     def test_zero_field_passes(self):
         grid = Grid(2, 16.0, 32)
         cfg = IMethodConfig(1.2, 0.75, 1, 2)
         f = Field.physical(grid, np.zeros(grid.shape))
-        assert vanishing_identity_check(f, cfg)
+        assert defect_and_bound(f, cfg) == (0.0, 0.0)
+
+
+class TestExcitationRadius:
+    @staticmethod
+    def full_lattice_radius(f):
+        """The radius read off the whole lattice: the spectrum's samples and |xi|."""
+        mag = np.abs(f.as_frequency().samples)
+        return float(f.grid.freq_radius()[mag > 1e-13 * mag.max()].max())
+
+    def test_held_field_never_unfolds(self, monkeypatch):
+        grid = Grid(2, 16.0, 64)
+        f = gaussian(grid, 1.0, 1.0)
+        assert f._samples is None and f.as_frequency()._samples is None  # held blocks
+        unfolds = []
+        unfold = spectral._unfold
+
+        def counted(*args):
+            unfolds.append(args[1])
+            return unfold(*args)
+
+        monkeypatch.setattr(spectral, "_unfold", counted)
+        rho = imethod._excitation_radius(f)
+        with pytest.warns(UndersamplingWarning):  # 3 rho = 23.2 passes Nyquist, 12.6
+            commutator(f, IMethodConfig(4.0, 0.75, 1, 2))
+        assert unfolds == []
+        monkeypatch.undo()
+        assert 0.0 < rho == self.full_lattice_radius(f)
+
+    def test_non_even_field_matches_full_lattice(self):
+        f = random_field(Grid(2, 16.0, 64), seed=4, band=9)
+        assert f.as_frequency()._even_block() is None
+        assert imethod._excitation_radius(f) == self.full_lattice_radius(f)
 
 
 class TestIncrementLedger:

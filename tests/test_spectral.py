@@ -32,7 +32,7 @@ from nlsbox import (
     tail_mass_fraction,
     write_field,
 )
-from nlsbox import spectral
+from nlsbox import dynamics, spectral
 from oracles import (
     band_restrict,
     coefficients_to_spectrum,
@@ -540,6 +540,38 @@ class TestTailMass:
         grid = Grid(2, 32.0, 128)
         f = make_radial_data(grid, RadialProfile("gaussian", 1.0, 6.0))
         assert tail_mass_fraction(f) > 1e-6
+
+    @pytest.mark.parametrize("held", [True, False], ids=["held", "non_even"])
+    def test_fractions_match_full_lattice_sums(self, held):
+        # The box tail (|x| > L/4) and the spectral tail that evolve
+        # checks (|xi| >= 2/3 Nyquist), each against a plain numpy sum.
+        grid = Grid(2, 16.0, 64)
+        if held:
+            rng = np.random.Generator(np.random.Philox(key=8))
+            block = rng.standard_normal((33, 33)) + 1j * rng.standard_normal((33, 33))
+            f = inverse_transform(Field.frequency(grid, spectral._unfold(block, 64)))
+            assert f._samples is None and f.as_frequency()._samples is None
+        else:
+            f = random_field(grid, seed=8)
+            assert f._even_block() is None
+        box, spectral_tail = tail_mass_fraction(f), dynamics._tail_fraction(f)
+
+        def fraction(a, mask):
+            w = np.abs(a) ** 2
+            return w[mask].sum() / w.sum()
+
+        want_box = fraction(f.samples, grid.space_radius() > grid.extent / 4.0)
+        spec = f.as_frequency().samples
+        want_spectral = fraction(spec, grid.freq_radius() >= 2.0 / 3.0 * grid.nyquist)
+        assert want_box > 0.01 and want_spectral > 0.01  # neither tail is empty
+        assert box == pytest.approx(want_box, rel=1e-14, abs=0.0)
+        assert spectral_tail == pytest.approx(want_spectral, rel=1e-14, abs=0.0)
+
+    def test_overflow_is_not_hidden(self):
+        f = Field.physical(Grid(2, 16.0, 16), np.full((16, 16), 1e200 + 0j))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            tail_mass_fraction(f)
+        assert dynamics._tail_fraction(f) == 0.0  # evolve's peak check raises instead
 
 
 class TestSerialization:
