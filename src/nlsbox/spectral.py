@@ -40,9 +40,9 @@ and phases an operation is handed as functions are gathered on it alone
 (the phases and the Sobolev and smoothing symbols once per grid).  What
 is made from an even field or a radial profile holds only its block (see
 :class:`Field`), so a radial run stays on the block from step to step and
-is never tested again.  Arrays of fewer than 1728 points (below ``12^3``,
-or ``42^2`` in 2d) always take the full-grid FFTs, where the block's
-fixed costs outweigh its smaller transforms.
+is never tested again.  Only non-even input takes the full-grid FFTs.
+Blocks of side ``n/2+1`` up to 32 in 2d and 13 in 3d are transformed by
+dense DCT-I matrices (:func:`_dct1`), larger ones by ``scipy.fft.dctn``.
 """
 
 from __future__ import annotations
@@ -332,10 +332,29 @@ def _inverse_scale(g: Grid) -> float:
     return (math.sqrt(2.0 * math.pi) / g.dx) ** g.dim
 
 
-# Fewer points than this keep the full-grid FFTs even when the array is
-# even: measured per step, the block wins beyond the noise from 12^3 and
-# 48^2 up, and not reliably at 8^3 or 32^2 (the table is in CHANGES.md).
-_SECTOR_FLOOR = 1728
+@lru_cache(maxsize=None)
+def _dct1_matrix(m: int) -> np.ndarray:
+    """scipy's unnormalised DCT-I matrix, transposed; angles reduced exactly."""
+    j = np.arange(m)
+    t = np.cos(np.pi * (np.outer(j, j) % (2 * m - 2)) / (m - 1))
+    t[1:-1] *= 2.0
+    return _readonly(t)
+
+
+def _dct1(x: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+    """``scipy.fft.dctn(x, type=1)`` of a cubic block, as a fresh array.  Up to
+    ``2^15`` multiply-adds per axis pass, where it beats ``dctn`` on one
+    OpenBLAS thread (CHANGES.md), it is a real ``matmul`` per axis moving the
+    axis last (a complex block's real and imaginary parts are one more axis)."""
+    m = x.shape[0]
+    if x.size * m > 1 << 15:
+        return _fft.dctn(x, type=1, overwrite_x=overwrite_x)
+    cplx = np.iscomplexobj(x)
+    z = np.ascontiguousarray(x).view(np.float64).reshape(x.shape + (2,)) if cplx else x
+    for _ in range(x.ndim):
+        z = z.reshape(m, -1).T @ _dct1_matrix(m)
+    z = np.ascontiguousarray(z.reshape(2, -1).T).view(np.complex128) if cplx else z
+    return z.reshape(x.shape)
 
 
 def _block(a: np.ndarray) -> np.ndarray:
@@ -344,8 +363,7 @@ def _block(a: np.ndarray) -> np.ndarray:
 
 
 def _sector(a: np.ndarray) -> np.ndarray | None:
-    """The ``[0, n/2]^d`` block of ``a`` when ``a`` has at least
-    ``_SECTOR_FLOOR`` points and is even in every axis, else ``None``.
+    """The ``[0, n/2]^d`` block of ``a`` if ``a`` is even in every axis, else ``None``.
 
     Even means ``a[j] = a[n-j]`` along each axis, bit for bit: an array
     that is even by value but not in the signs of its zeros takes the
@@ -355,8 +373,6 @@ def _sector(a: np.ndarray) -> np.ndarray | None:
     the array's DFT is the type-I DCT of its block (Swarztrauber, Math.
     Comp. 47, 1986).
     """
-    if a.size < _SECTOR_FLOOR:
-        return None
     block = _block(a)
     even = np.array_equal(_unfold(block, a.shape[0]).view(np.uint64), a.view(np.uint64))
     return block if even else None
@@ -424,7 +440,7 @@ def forward_transform(f: Field) -> Field:
         return Field._adopt(g, _forward_scale(g) * spec, FREQUENCY)
     # Reversed, the block runs over x = 0..L/2 from the box centre, so its
     # DCT-I is the box-phase spectrum and no checkerboard is needed.
-    spec = _fft.dctn(np.flip(sector), type=1)
+    spec = _dct1(np.flip(sector))
     spec *= _forward_scale(g)
     return Field._adopt(g, spec, FREQUENCY, even=True)
 
@@ -437,7 +453,7 @@ def inverse_transform(f: Field) -> Field:
     if sector is None:
         phys = _fft.ifftn(_checkerboard(g) * f.samples)
         return Field._adopt(g, _inverse_scale(g) * phys, PHYSICAL)
-    phys = _fft.dctn(sector, type=1)
+    phys = _dct1(sector)
     phys *= _inverse_scale(g) / g.size
     return Field._adopt(g, np.flip(phys), PHYSICAL, even=True)
 
@@ -505,17 +521,17 @@ def _padded_product(f: Field, factors: int, pointwise) -> Field:
         scale_in = _inverse_scale(fine) / fine.size
         kept = (slice(0, half),) * g.dim
         if f.is_physical:
-            coarse = _fft.dctn(np.flip(sector), type=1)[kept]
+            coarse = _dct1(np.flip(sector))[kept]
             coarse *= _forward_scale(g) * scale_in
         else:
             coarse = scale_in * sector[kept]
         spec = np.zeros((fine.points // 2 + 1,) * g.dim, dtype=coarse.dtype)
         spec[kept] = coarse
-        w = pointwise(_fft.dctn(spec, type=1, overwrite_x=True))
+        w = pointwise(_dct1(spec, overwrite_x=True))
         prod = np.zeros((half + 1,) * g.dim, dtype=w.dtype)
         scale_out = _forward_scale(fine) * _inverse_scale(g) / g.size
-        prod[kept] = scale_out * _fft.dctn(w, type=1, overwrite_x=True)[kept]
-        prod = np.flip(_fft.dctn(prod, type=1, overwrite_x=True))
+        prod[kept] = scale_out * _dct1(w, overwrite_x=True)[kept]
+        prod = np.flip(_dct1(prod, overwrite_x=True))
         return Field._adopt(g, prod, PHYSICAL, even=True)
     from_phys, from_freq, to_full, to_half = _band_factors(g, factors)
     spec = np.zeros(fine.shape, dtype=np.complex128)
@@ -612,8 +628,7 @@ def make_radial_data(grid: Grid, profile: RadialProfile) -> Field:
             out = out + a * np.exp(-r2 / (2.0 * wi * wi)) * np.cos(ka * r)
         return out
 
-    even = grid.size >= _SECTOR_FLOOR  # gathered on the block, held untested
-    return Field._adopt(grid, _radial(grid, fn, even, space=True), PHYSICAL, even)
+    return Field._adopt(grid, _radial(grid, fn, True, space=True), PHYSICAL, even=True)
 
 
 def _mass_fraction(f: Field, where) -> float:
@@ -645,9 +660,9 @@ def write_field(f: Field, path) -> None:
 
     Samples are written in row-major order with shortest round-trip
     float formatting, so write/read is bitwise faithful, signed zeros
-    included.  A field of at least 1728 samples that is even bit for bit
-    has its ``[0, n/2]^d`` block formatted and the rows unfolded by
-    reflection, which writes the same bytes.
+    included.  A field that is even bit for bit has its ``[0, n/2]^d``
+    block formatted and the rows unfolded by reflection, which writes the
+    same bytes.
     """
     g = f.grid
     block = f._even_block()
@@ -685,7 +700,7 @@ def read_field(path) -> Field:
         try:
             dim, points, extent, rep = fh.readline().split()
             grid, body = Grid(int(dim), float(extent), int(points)), fh.tell()
-            block = _block_rows(fh, grid.points, grid.dim) if grid.size >= _SECTOR_FLOOR else None
+            block = _block_rows(fh, grid.points, grid.dim)
             shape = grid.shape if block is None else (grid.points // 2 + 1,) * grid.dim
             fh.seek(body)  # for a whole-body parse; a block read is done with fh
             with warnings.catch_warnings():  # under max_rows loadtxt warns of blank rows

@@ -33,7 +33,6 @@ from nlsbox import (
     write_checkpoint,
 )
 from nlsbox import spectral
-from nlsbox.spectral import _SECTOR_FLOOR
 from oracles import random_field
 
 
@@ -262,19 +261,27 @@ class TestLatticeSymmetry:
     # A resolved Gaussian on 16^3 does not fit its box; the marginal
     # resolution is beside the point here.
     @pytest.mark.filterwarnings("ignore::nlsbox.errors.UndersamplingWarning")
-    @pytest.mark.parametrize("dim,extent,points,width,k", [
-        (2, 32.0, 64, 2.0, 2),
-        (3, 10.0, 16, 3.2, 1),
-        (2, 16.0, 32, 2.0, 1),
+    @pytest.mark.parametrize("dim,extent,points,width,k,block", [
+        (2, 32.0, 64, 2.0, 2, True),
+        (3, 10.0, 16, 3.2, 1, True),
+        (2, 16.0, 32, 2.0, 1, False),
     ], ids=["64^2_sector", "16^3_sector", "32^2_fft"])
-    def test_dealiased_evolve_keeps_radial_data_symmetric(self, dim, extent, points, width, k):
+    def test_dealiased_evolve_keeps_radial_data_symmetric(
+            self, monkeypatch, dim, extent, points, width, k, block):
         # Radial data are even in every axis and invariant under axis swaps;
         # the dealiased flow must keep both to rounding, on the even-sector
-        # path (64^2, 16^3) and on the full-grid path below its floor (32^2).
+        # path (64^2 with scipy's DCT, 16^3 with dense DCT matrices) and on
+        # the full-grid path, taken here by never recognising the samples
+        # as even (32^2).
         grid = Grid(dim, extent, points)
-        assert (grid.size >= _SECTOR_FLOOR) == (points != 32)
+        datum = gaussian(grid, 1.5, width)
+        if not block:
+            monkeypatch.setattr(spectral, "_sector", lambda a: None)
+            datum = Field.physical(grid, datum.samples)
         params = EvolutionParams(dim, k, 1e-3, 0.02, sample_every=20)
-        s = evolve(gaussian(grid, 1.5, width), params).final.samples
+        final = evolve(datum, params).final
+        assert isinstance(final._half, np.ndarray) == block
+        s = final.samples
         images = [np.roll(np.flip(s, axis), 1, axis) for axis in range(dim)]
         images.append(np.swapaxes(s, 0, 1))
         defect = max(np.abs(s - image).max() for image in images)
@@ -376,9 +383,10 @@ class TestGuards:
         with pytest.raises(InstabilityError):
             evolve(f, EvolutionParams(2, 2, 0.01, 0.02))
 
-    # A constant field is even, so 64^2 and 16^3 run on the [0, n/2]^d block.
-    @pytest.mark.parametrize("dim,points,k", [(2, 16, 2), (2, 64, 2), (3, 16, 1)],
-                             ids=["16", "64", "16^3"])
+    # A constant field is even, so every case runs on the [0, n/2]^d block:
+    # 16^2, 32^2 and 16^3 with dense DCT matrices, 64^2 with scipy's DCT.
+    @pytest.mark.parametrize("dim,points,k", [(2, 16, 2), (2, 32, 1), (2, 64, 2), (3, 16, 1)],
+                             ids=["16", "32", "64", "16^3"])
     def test_instability_names_the_first_step_between_samples(self, dim, points, k):
         grid = Grid(dim, 16.0, points)
         f = Field.physical(grid, np.full(grid.shape, 1e200 + 0j))
@@ -460,9 +468,15 @@ class TestCheckpoint:
     def test_samples_transform_forward_once(self, monkeypatch, tmp_path, points):
         # Evolve samples carry the spectrum the run held, and a reloaded
         # sample keeps its first spectrum, so ledgers at several cutoffs
-        # transform each sample forward at most once.
+        # transform each sample forward at most once.  The 32^2 run is kept
+        # off the block by never recognising its samples as even.
         grid = Grid(2, 16.0, points)
-        traj = evolve(gaussian(grid, 1.2, 2.0), EvolutionParams(2, 1, 0.01, 0.04, sample_every=2))
+        datum = gaussian(grid, 1.2, 2.0)
+        if points == 32:
+            monkeypatch.setattr(spectral, "_sector", lambda a: None)
+            datum = Field.physical(grid, datum.samples)
+        traj = evolve(datum, EvolutionParams(2, 1, 0.01, 0.04, sample_every=2))
+        assert isinstance(traj.final._half, np.ndarray) == (points == 64)
         write_checkpoint(traj, str(tmp_path))
         back = read_checkpoint(str(tmp_path))
         calls = []

@@ -6,6 +6,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -354,8 +355,9 @@ def full_grid_product(u: np.ndarray, factors: int, pointwise) -> np.ndarray:
 
 
 class TestEvenSector:
-    """Even data above the size floor take type-I DCTs of the ``[0, n/2]^d``
-    block; the results must agree with the full-grid FFTs to rounding."""
+    """Even data take type-I DCTs of the ``[0, n/2]^d`` block, by dense
+    matrices on small blocks and by ``scipy.fft.dctn`` on larger ones; the
+    results must agree with the full-grid FFTs to rounding."""
 
     @staticmethod
     def even_field(grid):
@@ -363,9 +365,9 @@ class TestEvenSector:
         datum = make_radial_data(grid, RadialProfile("gaussian", 1.2, 4.0 * grid.dx))
         return linear_flow(datum, 0.3)
 
-    @pytest.mark.parametrize("grid", [Grid(2, 16.0, 64), Grid(3, 8.0, 16)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("grid", [Grid(2, 16.0, 64), Grid(3, 8.0, 16), Grid(2, 16.0, 32)],
+                             ids=["2d", "3d", "32^2"])
     def test_sector_matches_full_grid_fft(self, grid):
-        assert grid.size >= spectral._SECTOR_FLOOR
         u = self.even_field(grid)
         spec = u.as_frequency()
         forward, inverse = full_grid_transforms(grid)
@@ -381,26 +383,45 @@ class TestEvenSector:
 
     @staticmethod
     def transforms_called(monkeypatch, calls):
+        # FFTs are logged by name, each _dct1 call as ("dense", m) or, when
+        # it hands its block to scipy.fft.dctn, as ("dctn", m).
         for name in ("dctn", "fftn", "ifftn", "rfftn", "irfftn"):
             def counted(*args, _name=name, _fn=getattr(spectral._fft, name), **kwargs):
                 calls.append(_name)
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(spectral._fft, name, counted)
 
-    @pytest.mark.parametrize("grid,kind,sector", [
-        (Grid(2, 16.0, 64), "radial", True),
-        (Grid(3, 8.0, 16), "radial", True),
-        (Grid(2, 16.0, 32), "radial", False),
-        (Grid(2, 16.0, 64), "random", False),
-        (Grid(2, 16.0, 64), "signed_zero", False),
+        def dct1(x, *args, _fn=spectral._dct1, **kwargs):
+            before = len(calls)
+            out = _fn(x, *args, **kwargs)
+            path = "dctn" if calls[before:] == ["dctn"] else "dense"
+            assert calls[before:] in ([], ["dctn"])
+            calls[before:] = [(path, x.shape[0])]
+            return out
+
+        monkeypatch.setattr(spectral, "_dct1", dct1)
+
+    @pytest.mark.parametrize("grid,kind,path", [
+        (Grid(2, 16.0, 64), "radial", "dctn"),
+        (Grid(3, 8.0, 16), "radial", "dense"),
+        (Grid(2, 16.0, 32), "radial", "dense"),
+        (Grid(2, 16.0, 64), "random", "fft"),
+        (Grid(2, 16.0, 64), "signed_zero", "fft"),
+        (Grid(2, 16.0, 32), "radial_sector_off", "fft"),
     ], ids=["radial_64^2", "radial_16^3", "radial_32^2", "random_64^2",
-            "even_by_value_odd_by_sign_64^2"])
-    def test_path_taken(self, monkeypatch, grid, kind, sector):
+            "even_by_value_odd_by_sign_64^2", "radial_32^2_sector_off"])
+    def test_path_taken(self, monkeypatch, grid, kind, path):
         if kind == "signed_zero":
             # Even by value only; its spectrum is even bit for bit, so the
             # same samples stand in for the frequency input too.
             samples = TestSerialization.even_by_value_odd_by_sign().samples
             u, spec = Field.physical(grid, samples), Field.frequency(grid, samples)
+        elif kind == "radial_sector_off":
+            # Radial samples that are never recognised as even: the full grid.
+            samples = self.even_field(grid).samples
+            monkeypatch.setattr(spectral, "_sector", lambda a: None)
+            u = Field.physical(grid, samples)
+            spec = u.as_frequency()
         else:
             u = self.even_field(grid) if kind == "radial" else random_field(grid, seed=8)
             spec = u.as_frequency()
@@ -408,9 +429,53 @@ class TestEvenSector:
         self.transforms_called(monkeypatch, calls)
         forward_transform(u)
         inverse_transform(spec)
+        transforms = list(calls)
         dealiased_modulus_power(spec, 2)
         dealiased_power(u, 3)
-        assert calls and all((name == "dctn") == sector for name in calls)
+        assert calls
+        if path == "fft":
+            assert all(isinstance(name, str) and name != "dctn" for name in calls)
+            return
+        # The transforms take the path of the coarse block; every block,
+        # coarse or padded, is dense exactly when an axis pass is at most
+        # 2^15 multiply-adds.
+        assert transforms == [(path, grid.points // 2 + 1)] * 2
+        assert all(taken == ("dense" if m ** (grid.dim + 1) <= 1 << 15 else "dctn")
+                   for taken, m in calls)
+
+    @pytest.mark.parametrize("dim,sides", [(2, range(3, 33)), (3, range(3, 14))], ids=["2d", "3d"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["real", "complex"])
+    def test_dense_dct1_matches_dctn(self, monkeypatch, dim, sides, dtype):
+        rng = np.random.default_rng(dim)
+        blocks = [rng.standard_normal((m,) * dim) for m in sides]
+        if dtype is np.complex128:
+            blocks = [b + 1j * rng.standard_normal(b.shape) for b in blocks]
+        want = [scipy.fft.dctn(b, type=1) for b in blocks]
+        monkeypatch.setattr(spectral._fft, "dctn", None)  # every side here is dense
+        for block, ref in zip(blocks, want):
+            got = spectral._dct1(block)
+            assert got.dtype == ref.dtype and got.flags.c_contiguous and got.flags.writeable
+            assert rel_error(got, ref) <= 1e-14
+        # One side more and the block goes to dctn.
+        monkeypatch.undo()
+        calls = []
+        self.transforms_called(monkeypatch, calls)
+        spectral._dct1(np.ones((sides[-1] + 1,) * dim, dtype=dtype))
+        assert calls == [("dctn", sides[-1] + 1)]
+
+    @pytest.mark.parametrize("grid", [Grid(2, 16.0, 32), Grid(2, 16.0, 64), Grid(3, 8.0, 16)],
+                             ids=["32^2_dense", "64^2_dctn", "16^3_dense"])
+    def test_held_blocks_stay_unchanged_and_read_only(self, grid):
+        u = self.even_field(grid)
+        spec = u.as_frequency()
+        before = [f._half.tobytes() for f in (u, spec)]
+        forward_transform(u)
+        inverse_transform(spec)
+        for f in (u, spec):
+            dealiased_modulus_power(f, 2)
+            dealiased_power(f, 3)
+        assert [f._half.tobytes() for f in (u, spec)] == before
+        assert not u._half.flags.writeable and not spec._half.flags.writeable
 
 
 class TestRadialData:
@@ -431,19 +496,24 @@ class TestRadialData:
     @pytest.mark.parametrize("kind,seed", [("gaussian", None), ("smooth_bump", None),
                                            ("random_radial_superposition", 5)])
     def test_held_block_unfolds_to_full_gather(self, monkeypatch, grid, kind, seed):
-        profile = RadialProfile(kind, 1.3, 4.0 * grid.dx, seed)
-        held = make_radial_data(grid, profile)
-        assert held._samples is None and held._half.shape == (grid.points // 2 + 1,) * grid.dim
-        monkeypatch.setattr(spectral, "_SECTOR_FLOOR", math.inf)  # the full-lattice gather
-        full = make_radial_data(grid, profile)
-        assert full._half is None
-        assert held.samples.tobytes() == full.samples.tobytes()
+        gather, profiles = spectral._radial, []
 
-    def test_below_floor_holds_full_samples(self):
-        grid = Grid(2, 16.0, 32)
-        assert grid.size < spectral._SECTOR_FLOOR
-        f = make_radial_data(grid, RadialProfile("gaussian", 1.0, 2.0))
-        assert f._half is None and f._samples.shape == grid.shape
+        def radial(grid, fn, *args, **kwargs):
+            profiles.append(fn)
+            return gather(grid, fn, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "_radial", radial)
+        held = make_radial_data(grid, RadialProfile(kind, 1.3, 4.0 * grid.dx, seed))
+        assert held._samples is None and held._half.shape == (grid.points // 2 + 1,) * grid.dim
+        # The full-lattice gather of the same profile function.
+        full = np.asarray(gather(grid, profiles[0], False, space=True), dtype=np.complex128)
+        assert held.samples.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("grid", [Grid(2, 16.0, 4), Grid(2, 16.0, 32), Grid(3, 8.0, 8)],
+                             ids=["4^2", "32^2", "8^3"])
+    def test_small_grids_hold_their_block(self, grid):
+        f = make_radial_data(grid, RadialProfile("gaussian", 1.0, 4.0 * grid.dx))
+        assert f._samples is None and f._half.shape == (grid.points // 2 + 1,) * grid.dim
 
     def test_gaussian_origin_value(self, grid2d_medium):
         f = make_radial_data(grid2d_medium, RadialProfile("gaussian", 3.0, 1.0))
@@ -639,7 +709,7 @@ class TestSerialization:
     @pytest.mark.parametrize("case,rep,block", [
         (case, rep, block)
         for case, block in [("radial_64^2", True), ("radial_256^2", True), ("radial_16^3", True),
-                            ("evolved_64^2", True), ("random_64^2", False), ("radial_32^2", False)]
+                            ("evolved_64^2", True), ("random_64^2", False), ("radial_32^2", True)]
         for rep in ("physical", "frequency")
     ] + [("even_by_value_odd_by_sign_64^2", "physical", False)])
     def test_bytes_match_reference_writer(self, monkeypatch, tmp_path, case, rep, block):
