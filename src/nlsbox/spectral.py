@@ -41,8 +41,10 @@ and phases an operation is handed as functions are gathered on it alone
 is made from an even field or a radial profile holds only its block (see
 :class:`Field`), so a radial run stays on the block from step to step and
 is never tested again.  Only non-even input takes the full-grid FFTs.
-Blocks of side ``n/2+1`` up to 32 in 2d and 13 in 3d are transformed by
-dense DCT-I matrices (:func:`_dct1`), larger ones by ``scipy.fft.dctn``.
+Blocks of side ``n/2+1`` up to 50 (complex) or 64 (real) in 2d and 19 or
+22 in 3d, where one axis matmul stays on one OpenBLAS thread (at most
+``2^18`` real multiply-adds), are transformed by dense DCT-I matrices
+(:func:`_dct1`), larger ones by ``scipy.fft.dctn``.
 """
 
 from __future__ import annotations
@@ -342,14 +344,15 @@ def _dct1_matrix(m: int) -> np.ndarray:
 
 
 def _dct1(x: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
-    """``scipy.fft.dctn(x, type=1)`` of a cubic block, as a fresh array.  Up to
-    ``2^15`` multiply-adds per axis pass, where it beats ``dctn`` on one
-    OpenBLAS thread (CHANGES.md), it is a real ``matmul`` per axis moving the
-    axis last (a complex block's real and imaginary parts are one more axis)."""
-    m = x.shape[0]
-    if x.size * m > 1 << 15:
+    """``scipy.fft.dctn(x, type=1)`` of a cubic block, as a fresh array.  It is
+    a real ``matmul`` per axis moving the axis last (a complex block's real
+    and imaginary parts are one more axis) while one such matmul is at most
+    ``2^18`` real multiply-adds: OpenBLAS runs ``gemm`` on one thread up to
+    ``65536 * GEMM_MULTITHREAD_THRESHOLD`` (4) of them, and there it beats
+    ``dctn`` 2-3x (CHANGES.md).  Larger blocks go to ``dctn``."""
+    m, cplx = x.shape[0], np.iscomplexobj(x)
+    if (1 + cplx) * x.size * m > 1 << 18:
         return _fft.dctn(x, type=1, overwrite_x=overwrite_x)
-    cplx = np.iscomplexobj(x)
     z = np.ascontiguousarray(x).view(np.float64).reshape(x.shape + (2,)) if cplx else x
     for _ in range(x.ndim):
         z = z.reshape(m, -1).T @ _dct1_matrix(m)
@@ -661,14 +664,16 @@ def write_field(f: Field, path) -> None:
     Samples are written in row-major order with shortest round-trip
     float formatting, so write/read is bitwise faithful, signed zeros
     included.  A field that is even bit for bit has its ``[0, n/2]^d``
-    block formatted and the rows unfolded by reflection, which writes the
-    same bytes.
+    block formatted, and the text of first-axis slabs ``0..n/2`` joined
+    from its rows unfolded by reflection; slab ``j > n/2`` is slab ``n-j``
+    written again, which writes the same bytes.
     """
     g = f.grid
     block = f._even_block()
     if block is not None:
-        table = np.fromiter(_rows(block), dtype=object, count=block.size)
-        rows = _unfold(table.reshape(block.shape), g.points).reshape(-1)
+        table = np.fromiter(_rows(block), dtype=object, count=block.size).reshape(block.shape)
+        slabs = ["".join(_unfold(slab, g.points).flat) for slab in table]
+        rows = slabs + slabs[-2:0:-1]
     else:
         rows = _rows(f.samples)
     with open(path, "w") as fh:

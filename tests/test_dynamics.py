@@ -264,15 +264,16 @@ class TestLatticeSymmetry:
     @pytest.mark.parametrize("dim,extent,points,width,k,block", [
         (2, 32.0, 64, 2.0, 2, True),
         (3, 10.0, 16, 3.2, 1, True),
+        (2, 32.0, 128, 2.0, 1, True),
         (2, 16.0, 32, 2.0, 1, False),
-    ], ids=["64^2_sector", "16^3_sector", "32^2_fft"])
+    ], ids=["64^2_sector", "16^3_sector", "128^2_sector", "32^2_fft"])
     def test_dealiased_evolve_keeps_radial_data_symmetric(
             self, monkeypatch, dim, extent, points, width, k, block):
         # Radial data are even in every axis and invariant under axis swaps;
         # the dealiased flow must keep both to rounding, on the even-sector
-        # path (64^2 with scipy's DCT, 16^3 with dense DCT matrices) and on
-        # the full-grid path, taken here by never recognising the samples
-        # as even (32^2).
+        # path (16^3 with dense DCT matrices, 128^2 with scipy's DCT, 64^2
+        # with dense coarse and scipy's padded blocks) and on the full-grid
+        # path, taken here by never recognising the samples as even (32^2).
         grid = Grid(dim, extent, points)
         datum = gaussian(grid, 1.5, width)
         if not block:
@@ -384,9 +385,11 @@ class TestGuards:
             evolve(f, EvolutionParams(2, 2, 0.01, 0.02))
 
     # A constant field is even, so every case runs on the [0, n/2]^d block:
-    # 16^2, 32^2 and 16^3 with dense DCT matrices, 64^2 with scipy's DCT.
-    @pytest.mark.parametrize("dim,points,k", [(2, 16, 2), (2, 32, 1), (2, 64, 2), (3, 16, 1)],
-                             ids=["16", "32", "64", "16^3"])
+    # 16^2, 32^2 and 16^3 with dense DCT matrices, 128^2 with scipy's DCT,
+    # 64^2 with dense coarse and scipy's padded blocks.
+    @pytest.mark.parametrize("dim,points,k", [(2, 16, 2), (2, 32, 1), (2, 64, 2), (3, 16, 1),
+                                              (2, 128, 1)],
+                             ids=["16", "32", "64", "16^3", "128"])
     def test_instability_names_the_first_step_between_samples(self, dim, points, k):
         grid = Grid(dim, 16.0, points)
         f = Field.physical(grid, np.full(grid.shape, 1e200 + 0j))

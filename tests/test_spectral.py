@@ -365,8 +365,9 @@ class TestEvenSector:
         datum = make_radial_data(grid, RadialProfile("gaussian", 1.2, 4.0 * grid.dx))
         return linear_flow(datum, 0.3)
 
-    @pytest.mark.parametrize("grid", [Grid(2, 16.0, 64), Grid(3, 8.0, 16), Grid(2, 16.0, 32)],
-                             ids=["2d", "3d", "32^2"])
+    @pytest.mark.parametrize("grid", [Grid(2, 16.0, 64), Grid(3, 8.0, 16), Grid(2, 16.0, 32),
+                                      Grid(2, 16.0, 128)],
+                             ids=["2d", "3d", "32^2", "128^2_dctn"])
     def test_sector_matches_full_grid_fft(self, grid):
         u = self.even_field(grid)
         spec = u.as_frequency()
@@ -383,8 +384,8 @@ class TestEvenSector:
 
     @staticmethod
     def transforms_called(monkeypatch, calls):
-        # FFTs are logged by name, each _dct1 call as ("dense", m) or, when
-        # it hands its block to scipy.fft.dctn, as ("dctn", m).
+        # FFTs are logged by name, each _dct1 call as ("dense", m, complex)
+        # or, when it hands its block to scipy.fft.dctn, as ("dctn", m, complex).
         for name in ("dctn", "fftn", "ifftn", "rfftn", "irfftn"):
             def counted(*args, _name=name, _fn=getattr(spectral._fft, name), **kwargs):
                 calls.append(_name)
@@ -396,20 +397,22 @@ class TestEvenSector:
             out = _fn(x, *args, **kwargs)
             path = "dctn" if calls[before:] == ["dctn"] else "dense"
             assert calls[before:] in ([], ["dctn"])
-            calls[before:] = [(path, x.shape[0])]
+            calls[before:] = [(path, x.shape[0], np.iscomplexobj(x))]
             return out
 
         monkeypatch.setattr(spectral, "_dct1", dct1)
 
     @pytest.mark.parametrize("grid,kind,path", [
-        (Grid(2, 16.0, 64), "radial", "dctn"),
+        (Grid(2, 16.0, 64), "radial", "dense"),
         (Grid(3, 8.0, 16), "radial", "dense"),
         (Grid(2, 16.0, 32), "radial", "dense"),
+        (Grid(2, 16.0, 128), "radial", "dctn"),
+        (Grid(3, 8.0, 40), "radial", "dctn"),
         (Grid(2, 16.0, 64), "random", "fft"),
         (Grid(2, 16.0, 64), "signed_zero", "fft"),
         (Grid(2, 16.0, 32), "radial_sector_off", "fft"),
-    ], ids=["radial_64^2", "radial_16^3", "radial_32^2", "random_64^2",
-            "even_by_value_odd_by_sign_64^2", "radial_32^2_sector_off"])
+    ], ids=["radial_64^2", "radial_16^3", "radial_32^2", "radial_128^2", "radial_40^3",
+            "random_64^2", "even_by_value_odd_by_sign_64^2", "radial_32^2_sector_off"])
     def test_path_taken(self, monkeypatch, grid, kind, path):
         if kind == "signed_zero":
             # Even by value only; its spectrum is even bit for bit, so the
@@ -437,15 +440,19 @@ class TestEvenSector:
             assert all(isinstance(name, str) and name != "dctn" for name in calls)
             return
         # The transforms take the path of the coarse block; every block,
-        # coarse or padded, is dense exactly when an axis pass is at most
-        # 2^15 multiply-adds.
-        assert transforms == [(path, grid.points // 2 + 1)] * 2
-        assert all(taken == ("dense" if m ** (grid.dim + 1) <= 1 << 15 else "dctn")
-                   for taken, m in calls)
+        # coarse or padded, is dense exactly when one axis matmul is at most
+        # 2^18 real multiply-adds, a complex block counting twice.
+        assert transforms == [(path, grid.points // 2 + 1, True)] * 2
+        assert all(taken == ("dense" if (1 + cplx) * m ** (grid.dim + 1) <= 1 << 18 else "dctn")
+                   for taken, m, cplx in calls)
 
-    @pytest.mark.parametrize("dim,sides", [(2, range(3, 33)), (3, range(3, 14))], ids=["2d", "3d"])
+    @pytest.mark.parametrize("dim", [2, 3], ids=["2d", "3d"])
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["real", "complex"])
-    def test_dense_dct1_matches_dctn(self, monkeypatch, dim, sides, dtype):
+    def test_dense_dct1_matches_dctn(self, monkeypatch, dim, dtype):
+        # The largest dense sides: (1 + complex) * m^(dim+1) <= 2^18.
+        largest = {(2, np.float64): 64, (2, np.complex128): 50,
+                   (3, np.float64): 22, (3, np.complex128): 19}[dim, dtype]
+        sides = range(3, largest + 1)
         rng = np.random.default_rng(dim)
         blocks = [rng.standard_normal((m,) * dim) for m in sides]
         if dtype is np.complex128:
@@ -460,11 +467,11 @@ class TestEvenSector:
         monkeypatch.undo()
         calls = []
         self.transforms_called(monkeypatch, calls)
-        spectral._dct1(np.ones((sides[-1] + 1,) * dim, dtype=dtype))
-        assert calls == [("dctn", sides[-1] + 1)]
+        spectral._dct1(np.ones((largest + 1,) * dim, dtype=dtype))
+        assert calls == [("dctn", largest + 1, dtype is np.complex128)]
 
-    @pytest.mark.parametrize("grid", [Grid(2, 16.0, 32), Grid(2, 16.0, 64), Grid(3, 8.0, 16)],
-                             ids=["32^2_dense", "64^2_dctn", "16^3_dense"])
+    @pytest.mark.parametrize("grid", [Grid(2, 16.0, 32), Grid(2, 16.0, 128), Grid(3, 8.0, 16)],
+                             ids=["32^2_dense", "128^2_dctn", "16^3_dense"])
     def test_held_blocks_stay_unchanged_and_read_only(self, grid):
         u = self.even_field(grid)
         spec = u.as_frequency()
@@ -740,6 +747,23 @@ class TestSerialization:
         parsed = self.count_parsed_rows(monkeypatch)
         assert read_field(path).samples.tobytes() == f.samples.tobytes()
         assert parsed == [half**f.grid.dim if block else f.grid.size]
+
+    @pytest.mark.parametrize("grid", [Grid(2, 16.0, 64), Grid(3, 8.0, 16)], ids=["64^2", "16^3"])
+    @pytest.mark.parametrize("rep", ["physical", "frequency"])
+    def test_block_writer_matches_full_grid_writer(self, monkeypatch, tmp_path, grid, rep):
+        # Slab text from the held block against one row per sample from the
+        # full grid, for the same samples; both files read back bitwise.
+        f = TestEvenSector.even_field(grid)
+        f = f.as_frequency() if rep == "frequency" else f.as_physical()
+        write_field(f, tmp_path / "block.field")
+        monkeypatch.setattr(spectral, "_sector", lambda a: None)
+        full = Field(grid, f.samples, rep)
+        assert full._even_block() is None
+        write_field(full, tmp_path / "full.field")
+        monkeypatch.undo()
+        assert (tmp_path / "block.field").read_bytes() == (tmp_path / "full.field").read_bytes()
+        for name in ("block.field", "full.field"):
+            assert read_field(tmp_path / name).samples.tobytes() == f.samples.tobytes()
 
     @staticmethod
     def count_parsed_rows(monkeypatch):
