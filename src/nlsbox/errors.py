@@ -16,7 +16,6 @@ __all__ = [
     "ResolutionError",
     "InstabilityError",
     "ConfigError",
-    "AtomicIntervalError",
     "UndersamplingWarning",
 ]
 
@@ -43,10 +42,6 @@ class InstabilityError(NlsboxError, RuntimeError):
 
 class ConfigError(NlsboxError, ValueError):
     """An experiment configuration file is malformed or inconsistent."""
-
-
-class AtomicIntervalError(NlsboxError, RuntimeError):
-    """A single time step already exceeds the requested interval budget."""
 
 
 class UndersamplingWarning(UserWarning):

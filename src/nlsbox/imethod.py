@@ -19,11 +19,8 @@ import math
 import warnings as _warnings
 from functools import partial
 
-import numpy as np
-
-from .dynamics import _sample_list, energy, linear_flow
+from .dynamics import _TAIL_WARN_FRACTION, _sample_list, energy, linear_flow
 from .errors import (
-    AtomicIntervalError,
     DomainError,
     UndersamplingWarning,
     _require_count,
@@ -32,8 +29,8 @@ from .errors import (
     _require_same_dim,
 )
 from .multipliers import apply_symbol, i_operator_symbol
-from .norms import DiagnosticSeries, lebesgue_norm, sobolev_norm
-from .spectral import PHYSICAL, Field, Grid, _lattice_max, _radial, dealiased_power
+from .norms import DiagnosticSeries, sobolev_norm
+from .spectral import PHYSICAL, Field, Grid, _mass_fraction, _radial, dealiased_power
 
 __all__ = [
     "IMethodConfig",
@@ -41,7 +38,6 @@ __all__ = [
     "commutator",
     "critical_exponent",
     "increment_ledger",
-    "interval_partition",
     "modified_energy",
     "rescale",
     "scattering_diagnostic",
@@ -114,32 +110,23 @@ def rescale(f: Field, lam: float, k: int) -> Field:
     return Field(scaled_grid, samples, PHYSICAL)
 
 
-def _excitation_radius(f: Field) -> float:
-    """Largest |xi| at which |fhat| exceeds 1e-13 of its peak, 0 for a zero field."""
-    spec = f.as_frequency()
-    peak = _lattice_max(np.abs, spec)
-    if peak == 0.0:
-        return 0.0
-    radius = partial(_radial, f.grid, lambda r: r)
-    return _lattice_max(lambda s, r: np.where(np.abs(s) > 1e-13 * peak, r, 0.0), spec, radius)
-
-
 def commutator(f: Field, cfg: IMethodConfig) -> Field:
     """Smoothing defect (I u)^(2k+1) - I(u^(2k+1)).
 
     Both odd powers are formed alias-free, and the result is exact for
-    every frequency the grid retains.  If the input carries significant
-    content above Nyquist / (2k+1), the true product extends past the
-    resolved band and the returned defect is its truncation; a warning
-    flags that case.
+    every frequency the grid retains.  If more than 1e-4 of the input's
+    spectral mass sits above Nyquist / (2k+1), the true product extends
+    past the resolved band and the returned defect is its truncation; a
+    warning flags that case.
     """
     _require_same_dim("field", f.grid.dim, cfg.dim)
     degree = 2 * cfg.k + 1
-    rho = _excitation_radius(f)
-    if degree * rho > f.grid.nyquist:
+    cut = f.grid.nyquist / degree
+    frac = _mass_fraction(f.as_frequency(), partial(_radial, f.grid, lambda r: r > cut))
+    if frac > _TAIL_WARN_FRACTION:
         _warnings.warn(
-            f"products reach frequency {degree * rho:.3g}, past the Nyquist "
-            f"frequency {f.grid.nyquist:.3g}; the defect is truncated",
+            f"{frac:.3e} of the spectral mass sits above Nyquist / {degree} = "
+            f"{cut:.3g}, so products pass the Nyquist frequency; the defect is truncated",
             UndersamplingWarning,
             stacklevel=2,
         )
@@ -203,48 +190,6 @@ def increment_ledger(traj, cfg: IMethodConfig) -> IncrementLedger:
         )
     series = DiagnosticSeries("E_Iu", tuple(times), tuple(values))
     return IncrementLedger(cfg, series, total)
-
-
-_PARTITION_EXPONENTS = {2: (4.0, 8.0), 3: (4.0, 4.0)}
-
-
-def interval_partition(traj, eta: float) -> tuple:
-    """Greedy cover of the time span by intervals of spacetime size <= eta.
-
-    The controlling norm is L4 in time with L8 in space in two
-    dimensions, and spacetime L4 in three.  Windows are grown sample by
-    sample and cut just before the norm would pass eta; consecutive
-    intervals share an endpoint.  If even a single sampling step
-    overshoots, no admissible partition exists at this resolution and an
-    atomic-interval error is raised.
-    """
-    _require_real("eta", eta, positive=True)
-    pairs = _sample_list(traj, "a partition")
-    dim = pairs[0][1].grid.dim
-    p, q = _PARTITION_EXPONENTS[dim]
-    times = [t for t, _ in pairs]
-    space = np.array([lebesgue_norm(f, q) for _, f in pairs])
-
-    def window(i: int, j: int) -> float:
-        return float(
-            np.trapezoid(space[i : j + 1] ** p, times[i : j + 1]) ** (1.0 / p)
-        )
-
-    bounds = []
-    i = 0
-    last = len(pairs) - 1
-    while i < last:
-        j = i + 1
-        while j < last and window(i, j + 1) <= eta:
-            j += 1
-        if window(i, j) > eta:
-            raise AtomicIntervalError(
-                f"the single step [{times[i]!r}, {times[j]!r}] already has "
-                f"spacetime norm {window(i, j):.3g} > eta={eta}"
-            )
-        bounds.append((times[i], times[j]))
-        i = j
-    return tuple(bounds)
 
 
 def scattering_diagnostic(traj, s: float) -> DiagnosticSeries:

@@ -109,11 +109,6 @@ class Grid:
         if type(self.points) is not int or self.points < 4 or self.points % 2:
             raise DomainError(f"points must be an even integer >= 4, got {self.points!r}")
 
-    @classmethod
-    def default(cls, dim: int) -> "Grid":
-        """Stock grid: ``256^2`` on ``L = 64`` in 2d, ``64^3`` on ``L = 32`` in 3d."""
-        return cls(2, 64.0, 256) if _require_dim(dim) == 2 else cls(3, 32.0, 64)
-
     @property
     def dx(self) -> float:
         return self.extent / self.points
@@ -145,11 +140,11 @@ class Grid:
 
     def axis_coords(self) -> np.ndarray:
         """Sample coordinates ``-L/2 + j*dx`` along one axis (all axes agree)."""
-        return _axis_coords(self)
+        return self.dx * (np.arange(self.points) - self.points // 2)
 
     def freq_axis(self) -> np.ndarray:
         """Frequencies ``2*pi*m/L`` along one axis in FFT storage order."""
-        return _freq_axis(self)
+        return self.freq_step * np.fft.fftfreq(self.points, d=1.0 / self.points)
 
     def freq_radius(self) -> np.ndarray:
         """Array of ``|xi|`` over the full frequency lattice (FFT order)."""
@@ -163,18 +158,6 @@ class Grid:
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-@lru_cache(maxsize=None)
-def _axis_coords(grid: Grid) -> np.ndarray:
-    j = np.arange(grid.points)
-    return _readonly(grid.dx * (j - grid.points // 2))
-
-
-@lru_cache(maxsize=None)
-def _freq_axis(grid: Grid) -> np.ndarray:
-    m = np.fft.fftfreq(grid.points, d=1.0 / grid.points)
-    return _readonly(grid.freq_step * m)
 
 
 @lru_cache(maxsize=None)
@@ -645,8 +628,8 @@ def _mass_fraction(f: Field, where) -> float:
 def tail_mass_fraction(f: Field) -> float:
     """Fraction of the squared L2 mass outside the ball ``|x| > extent/4``.
 
-    A value above ``1e-6`` signals that the box is too small for the
-    state and wrap-around is about to matter.
+    A large value means the box may be too small for the state, so that
+    wrap-around matters; no threshold is calibrated for that yet.
     """
     far = partial(_radial, f.grid, lambda r: r > f.grid.extent / 4.0, space=True)
     return _mass_fraction(f.as_physical(), far)

@@ -22,10 +22,26 @@ def test_submodule_exports_are_reexported(module):
     assert sorted(set(exported) - set(nlsbox.__all__)) == []
 
 
-@pytest.mark.parametrize("name", ["choose_lambda", "LambdaChoice", "vanishing_identity_check"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "choose_lambda",
+        "LambdaChoice",
+        "vanishing_identity_check",
+        "interval_partition",
+        "AtomicIntervalError",
+    ],
+)
 def test_removed_names_are_gone(name):
     # The dilation search and the boolean defect check had no caller
     # outside their own tests; commutator and rescale carry the behaviour.
+    # The interval partition had none either, and at the acceptance
+    # sampling one step already carries half the spacetime norm.
     assert name not in nlsbox.__all__
     assert not hasattr(nlsbox, name)
     assert not hasattr(nlsbox.imethod, name)
+    assert not hasattr(nlsbox.errors, name)
+
+
+def test_grid_has_no_stock_constructor():
+    assert not hasattr(nlsbox.Grid, "default")

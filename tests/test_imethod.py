@@ -1,6 +1,6 @@
 """Truncated energies: config validation, exact lattice scaling laws,
 commutator against a direct-convolution oracle, the vanishing identity,
-increment ledgers, greedy interval partitions, scattering pullbacks."""
+increment ledgers, scattering pullbacks."""
 
 import math
 import warnings
@@ -8,9 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from nlsbox import imethod, spectral
+from nlsbox import spectral
 from nlsbox import (
-    AtomicIntervalError,
     DiagnosticSeries,
     DomainError,
     EvolutionParams,
@@ -26,13 +25,10 @@ from nlsbox import (
     evolve,
     i_operator_symbol,
     increment_ledger,
-    interval_partition,
     lebesgue_norm,
     linear_flow,
     make_radial_data,
     mass,
-    mixed_norm,
-    MixedNormSpec,
     modified_energy,
     rescale,
     scattering_diagnostic,
@@ -270,8 +266,49 @@ class TestCommutator:
         grid = Grid(2, 16.0, 16)
         f = random_field(grid, seed=2, band=6)
         cfg = IMethodConfig(1.2, 0.75, 1, 2)
-        with pytest.warns(UndersamplingWarning):
+        with pytest.warns(UndersamplingWarning):  # 0.227 of the mass is above Nyquist / 3
             commutator(f, cfg)
+
+    @staticmethod
+    def full_lattice_fraction(f, k):
+        """Share of |fhat|^2 above Nyquist / (2k+1), read off the whole lattice."""
+        power = np.abs(f.as_frequency().samples) ** 2
+        outer = f.grid.freq_radius() > f.grid.nyquist / (2 * k + 1)
+        return float(power[outer].sum() / power.sum())
+
+    def test_held_field_never_unfolds(self, monkeypatch):
+        # A resolved width-1 Gaussian has 2.3e-8 of its spectral mass above
+        # Nyquist / 3, so its products stay in band and nothing warns.
+        grid = Grid(2, 16.0, 64)
+        f = gaussian(grid, 1.0, 1.0)
+        assert f._samples is None and f.as_frequency()._samples is None  # held blocks
+        unfolds = []
+        unfold = spectral._unfold
+
+        def counted(*args):
+            unfolds.append(args[1])
+            return unfold(*args)
+
+        monkeypatch.setattr(spectral, "_unfold", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            commutator(f, IMethodConfig(4.0, 0.75, 1, 2))
+        assert unfolds == []
+        monkeypatch.undo()
+        assert 0.0 < self.full_lattice_fraction(f, 1) < 1e-4
+
+    @pytest.mark.parametrize("band,warns", [(9, True), (3, False)])
+    def test_non_even_warning_matches_full_lattice(self, band, warns):
+        f = random_field(Grid(2, 16.0, 64), seed=4, band=band)
+        assert f.as_frequency()._even_block() is None
+        frac = self.full_lattice_fraction(f, 1)
+        assert (frac > 1e-4) is warns
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            commutator(f, IMethodConfig(4.0, 0.75, 1, 2))
+        assert [w.category for w in caught] == [UndersamplingWarning] * warns
+        if warns:
+            assert str(caught[0].message).startswith(f"{frac:.3e} of the spectral mass")
 
 
 def defect_and_bound(f, cfg):
@@ -326,38 +363,6 @@ class TestVanishingIdentity:
         assert defect_and_bound(f, cfg) == (0.0, 0.0)
 
 
-class TestExcitationRadius:
-    @staticmethod
-    def full_lattice_radius(f):
-        """The radius read off the whole lattice: the spectrum's samples and |xi|."""
-        mag = np.abs(f.as_frequency().samples)
-        return float(f.grid.freq_radius()[mag > 1e-13 * mag.max()].max())
-
-    def test_held_field_never_unfolds(self, monkeypatch):
-        grid = Grid(2, 16.0, 64)
-        f = gaussian(grid, 1.0, 1.0)
-        assert f._samples is None and f.as_frequency()._samples is None  # held blocks
-        unfolds = []
-        unfold = spectral._unfold
-
-        def counted(*args):
-            unfolds.append(args[1])
-            return unfold(*args)
-
-        monkeypatch.setattr(spectral, "_unfold", counted)
-        rho = imethod._excitation_radius(f)
-        with pytest.warns(UndersamplingWarning):  # 3 rho = 23.2 passes Nyquist, 12.6
-            commutator(f, IMethodConfig(4.0, 0.75, 1, 2))
-        assert unfolds == []
-        monkeypatch.undo()
-        assert 0.0 < rho == self.full_lattice_radius(f)
-
-    def test_non_even_field_matches_full_lattice(self):
-        f = random_field(Grid(2, 16.0, 64), seed=4, band=9)
-        assert f.as_frequency()._even_block() is None
-        assert imethod._excitation_radius(f) == self.full_lattice_radius(f)
-
-
 class TestIncrementLedger:
     def _traj(self, grid, amps, dt=0.1):
         f = gaussian(grid, 1.0, 2.0)
@@ -400,60 +405,14 @@ class TestIncrementLedger:
         with pytest.raises(DomainError):
             increment_ledger(self._traj(grid, [1.0]), cfg)
 
-
-class TestIntervalPartition:
-    def _constant_traj(self, grid, n=11, dt=0.1):
-        f = gaussian(grid, 1.0, max(2.0, 4.0 * grid.dx))
-        return [(i * dt, f) for i in range(n)]
-
-    def test_greedy_cover_2d(self):
-        grid = Grid(2, 16.0, 32)
-        traj = self._constant_traj(grid)
-        f = traj[0][1]
-        x = lebesgue_norm(f, 8.0)
-        eta = x * 0.35**0.25
-        got = interval_partition(traj, eta)
-        assert got[0][0] == 0.0
-        assert got[-1][1] == traj[-1][0]
-        for (a, b), (c, _) in zip(got, got[1:]):
-            assert b == c
-        for a, b in got:
-            inside = [(t, u) for t, u in traj if a <= t <= b]
-            norm = mixed_norm(inside, MixedNormSpec(4.0, 8.0, a, b))
-            assert norm <= eta * (1.0 + 1e-12)
-        assert len(got) == 4
-
-    def test_greedy_cover_3d_uses_spacetime_l4(self):
-        grid = Grid(3, 16.0, 16)
-        traj = self._constant_traj(grid, n=6)
-        x = lebesgue_norm(traj[0][1], 4.0)
-        eta = x * 0.25**0.25
-        got = interval_partition(traj, eta)
-        assert got[0][0] == 0.0
-        assert got[-1][1] == traj[-1][0]
-
-    def test_atomic_interval(self):
-        grid = Grid(2, 16.0, 32)
-        traj = self._constant_traj(grid)
-        x = lebesgue_norm(traj[0][1], 8.0)
-        with pytest.raises(AtomicIntervalError):
-            interval_partition(traj, x * 0.05**0.25)
-
-    def test_validation(self):
-        grid = Grid(2, 16.0, 32)
-        traj = self._constant_traj(grid)
-        with pytest.raises(DomainError):
-            interval_partition(traj, 0.0)
-        with pytest.raises(DomainError):
-            interval_partition(traj[:1], 1.0)
-
     def test_raw_samples_must_increase(self):
         grid = Grid(2, 16.0, 32)
-        traj = self._constant_traj(grid)
-        with pytest.raises(DomainError):
-            interval_partition(traj[:2] + traj[1:], 1.0)
-        with pytest.raises(DomainError):
-            interval_partition([(t, f.samples) for t, f in traj], 1.0)
+        cfg = IMethodConfig(2.0, 0.75, 1, 2)
+        traj = self._traj(grid, [1.0, 0.9, 0.8])
+        with pytest.raises(DomainError):  # a repeated time
+            increment_ledger(traj[:2] + traj[1:], cfg)
+        with pytest.raises(DomainError):  # raw arrays, not fields
+            increment_ledger([(t, f.samples) for t, f in traj], cfg)
 
 
 class TestScatteringDiagnostic:

@@ -52,14 +52,8 @@ def rel_error(got, want):
 
 
 class TestGrid:
-    def test_defaults(self):
-        g2 = Grid.default(2)
-        assert (g2.points, g2.extent) == (256, 64.0)
-        g3 = Grid.default(3)
-        assert (g3.points, g3.extent) == (64, 32.0)
-
     def test_nyquist_and_cells(self):
-        g = Grid.default(2)
+        g = Grid(2, 64.0, 256)
         assert g.nyquist == pytest.approx(4.0 * math.pi, rel=1e-15)
         assert g.dx == pytest.approx(0.25)
         assert g.cell_volume == pytest.approx(0.0625)
@@ -72,7 +66,7 @@ class TestGrid:
             Grid(2, -1.0, 16)
         with pytest.raises(DomainError):
             Grid(2, 10.0, 15)
-        for dim in (2.0, True, 4):
+        for dim in (2.0, 3.0, True, np.int64(2), 4):
             with pytest.raises(DomainError, match="dim"):
                 Grid(dim, 8.0, 32)
         for extent in (math.nan, math.inf, 0.0, True, "8"):
@@ -81,11 +75,6 @@ class TestGrid:
         for points in (32.0, True, np.int64(32), 2):
             with pytest.raises(DomainError, match="points"):
                 Grid(2, 8.0, points)
-
-    @pytest.mark.parametrize("dim", [2.0, 3.0, True, np.int64(2), 4])
-    def test_default_grid_dim_is_validated_like_grid(self, dim):
-        with pytest.raises(DomainError, match="dim"):
-            Grid.default(dim)
 
     def test_freq_axis_layout(self):
         g = Grid(2, 16.0, 16)
