@@ -66,15 +66,17 @@ class TestGrid:
             Grid(2, -1.0, 16)
         with pytest.raises(DomainError):
             Grid(2, 10.0, 15)
-        for dim in (2.0, 3.0, True, np.int64(2), 4):
-            with pytest.raises(DomainError, match="dim"):
-                Grid(dim, 8.0, 32)
         for extent in (math.nan, math.inf, 0.0, True, "8"):
             with pytest.raises(DomainError, match="extent"):
                 Grid(2, extent, 32)
         for points in (32.0, True, np.int64(32), 2):
             with pytest.raises(DomainError, match="points"):
                 Grid(2, 8.0, points)
+
+    @pytest.mark.parametrize("dim", [2.0, 3.0, True, np.int64(2), 4])
+    def test_default_grid_dim_is_validated_like_grid(self, dim):
+        with pytest.raises(DomainError, match="dim"):
+            Grid(dim, 8.0, 32)
 
     def test_freq_axis_layout(self):
         g = Grid(2, 16.0, 16)
