@@ -31,14 +31,13 @@ from .errors import (
 )
 from .multipliers import _sobolev_symbol, _symbol_values
 from .spectral import (
-    PHYSICAL,
     Field,
     Grid,
     _lattice_max,
     _lattice_sum,
+    _map_physical,
     _map_spectrum,
     _mass_fraction,
-    _pointwise,
     _radial,
     _readonly,
     dealiased_modulus_power,
@@ -187,13 +186,10 @@ def nonlinear_phase(f: Field, dt: float, k: int, dealias: bool = True) -> Field:
     """
     dt = _require_real("dt", dt)
     _require_count("k", k)
-    u = f.as_physical()
     if dealias:
-        out = _pointwise(lambda a, w: a * np.exp(-1j * dt * w.real), PHYSICAL,
-                         u, dealiased_modulus_power(f, 2 * k))
-    else:
-        out = _pointwise(lambda a: a * np.exp(-1j * dt * np.abs(a) ** (2 * k)), PHYSICAL, u)
-    return out if f.is_physical else out.as_frequency()
+        return _map_physical(f, lambda a, w: a * np.exp(-1j * dt * w.real),
+                             dealiased_modulus_power(f, 2 * k))
+    return _map_physical(f, lambda a: a * np.exp(-1j * dt * np.abs(a) ** (2 * k)))
 
 
 def strang_step(f: Field, params: EvolutionParams) -> Field:

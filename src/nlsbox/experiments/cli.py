@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from ..errors import ConfigError, DomainError, InstabilityError, ResolutionError
 from .config import STUDY_NAMES, load_config
@@ -45,20 +46,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        config = load_config(args.config)
-        if config.name != args.study:
-            raise ConfigError(
-                f"config names study {config.name!r} but the "
-                f"{args.study!r} subcommand was invoked"
-            )
-        report = run_study(config, args.out)
-    except (ConfigError, DomainError, ResolutionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InstabilityError as exc:
-        print(f"unstable: {exc}", file=sys.stderr)
-        return EXIT_UNSTABLE
+    with warnings.catch_warnings():  # count each warning shown, and show it as before
+        shown, show = [], warnings.showwarning
+        warnings.showwarning = lambda *w, **kw: (shown.append(w), show(*w, **kw))
+        try:
+            config = load_config(args.config)
+            if config.name != args.study:
+                raise ConfigError(
+                    f"config names study {config.name!r} but the "
+                    f"{args.study!r} subcommand was invoked"
+                )
+            report = run_study(config, args.out)
+        except (ConfigError, DomainError, ResolutionError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except InstabilityError as exc:
+            print(f"unstable: {exc}", file=sys.stderr)
+            return EXIT_UNSTABLE
+        finally:
+            print(f"warnings: {len(shown)}", file=sys.stderr)
     print(f"{report.study}: {'pass' if report.passed else 'fail'}")
     return EXIT_PASS if report.passed else EXIT_FAIL
 

@@ -42,9 +42,9 @@ is made from an even field or a radial profile holds only its block (see
 :class:`Field`), so a radial run stays on the block from step to step and
 is never tested again.  Only non-even input takes the full-grid FFTs.
 Blocks of side ``n/2+1`` up to 50 (complex) or 64 (real) in 2d and 19 or
-22 in 3d, where one axis matmul stays on one OpenBLAS thread (at most
-``2^18`` real multiply-adds), are transformed by dense DCT-I matrices
-(:func:`_dct1`), larger ones by ``scipy.fft.dctn``.
+22 in 3d (at most ``2^18`` real multiply-adds per axis, one OpenBLAS
+thread) are transformed by dense DCT-I matrices on their float64 view, no
+(re, im) pair moved (:func:`_dct1`), larger ones by ``scipy.fft.dctn``.
 """
 
 from __future__ import annotations
@@ -318,29 +318,32 @@ def _inverse_scale(g: Grid) -> float:
 
 
 @lru_cache(maxsize=None)
-def _dct1_matrix(m: int) -> np.ndarray:
-    """scipy's unnormalised DCT-I matrix, transposed; angles reduced exactly."""
+def _dct1_matrix(m: int, width: int = 1) -> np.ndarray:
+    """``kron(t, I_width)`` of scipy's DCT-I matrix ``t``, transposed; angles reduced exactly."""
     j = np.arange(m)
     t = np.cos(np.pi * (np.outer(j, j) % (2 * m - 2)) / (m - 1))
     t[1:-1] *= 2.0
-    return _readonly(t)
+    return _readonly(np.kron(t, np.eye(width)))
 
 
 def _dct1(x: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
-    """``scipy.fft.dctn(x, type=1)`` of a cubic block, as a fresh array.  It is
-    a real ``matmul`` per axis moving the axis last (a complex block's real
-    and imaginary parts are one more axis) while one such matmul is at most
-    ``2^18`` real multiply-adds: OpenBLAS runs ``gemm`` on one thread up to
-    ``65536 * GEMM_MULTITHREAD_THRESHOLD`` (4) of them, and there it beats
-    ``dctn`` 2-3x (CHANGES.md).  Larger blocks go to ``dctn``."""
-    m, cplx = x.shape[0], np.iscomplexobj(x)
+    """``scipy.fft.dctn(x, type=1)`` of a float64 or complex128 cubic block,
+    fresh and C-ordered.  While an axis costs at most ``2^18`` real
+    multiply-adds (a complex block twice), each axis is one ``matmul`` on the
+    float64 view, whose (re, im) pairs stay put: a left product on the first
+    axis, a broadcast one on a 3d middle axis, and a right product by
+    ``kron(t, I2)`` (``t`` if real) on the last.  OpenBLAS keeps ``gemm`` on
+    one thread up to ``65536 * GEMM_MULTITHREAD_THRESHOLD`` (4) multiply-adds
+    per thread, so the last axis, up to twice that, stays on one thread too;
+    there it beats ``dctn`` 2-14x (CHANGES.md).  Larger blocks go to ``dctn``."""
+    m, cplx = x.shape[0], x.dtype.kind == "c"
     if (1 + cplx) * x.size * m > 1 << 18:
         return _fft.dctn(x, type=1, overwrite_x=overwrite_x)
-    z = np.ascontiguousarray(x).view(np.float64).reshape(x.shape + (2,)) if cplx else x
-    for _ in range(x.ndim):
-        z = z.reshape(m, -1).T @ _dct1_matrix(m)
-    z = np.ascontiguousarray(z.reshape(2, -1).T).view(np.complex128) if cplx else z
-    return z.reshape(x.shape)
+    t, z = _dct1_matrix(m), np.ascontiguousarray(x).view(np.float64) if cplx else x
+    z = (t.T @ z.reshape(m, -1)).reshape(z.shape)
+    z = np.matmul(t.T, z) if x.ndim == 3 else z
+    z = z.reshape(-1, z.shape[-1]) @ (_dct1_matrix(m, 2) if cplx else t)
+    return (z.view(np.complex128) if cplx else z).reshape(x.shape)
 
 
 def _block(a: np.ndarray) -> np.ndarray:
@@ -416,38 +419,48 @@ def _lattice_max(fn, *operands) -> float:
     return float(np.max(fn(*_operands(*operands)[1])))
 
 
+def _forward(g: Grid, a: np.ndarray) -> np.ndarray:
+    """The spectrum of samples ``a`` on ``g``, or of the ``[0, n/2]^d`` block
+    ``a`` of an even field as its block: reversed, the block runs over x = 0..L/2
+    from the box centre, so its DCT-I is the box-phase spectrum."""
+    if a.shape == g.shape:
+        return _forward_scale(g) * (_checkerboard(g) * _fft.fftn(a))
+    return _dct1(np.flip(a)) * _forward_scale(g)
+
+
+def _inverse(g: Grid, a: np.ndarray) -> np.ndarray:
+    """The inverse of :func:`_forward`, on samples or on a block alike."""
+    if a.shape == g.shape:
+        return _inverse_scale(g) * _fft.ifftn(_checkerboard(g) * a)
+    return np.flip(_dct1(a) * (_inverse_scale(g) / g.size))
+
+
 def forward_transform(f: Field) -> Field:
     """Physical samples to frequency samples of the continuum transform."""
     _require_rep(f, PHYSICAL, "forward_transform")
-    g = f.grid
-    sector = f._even_block()
-    if sector is None:
-        spec = _checkerboard(g) * _fft.fftn(f.samples)
-        return Field._adopt(g, _forward_scale(g) * spec, FREQUENCY)
-    # Reversed, the block runs over x = 0..L/2 from the box centre, so its
-    # DCT-I is the box-phase spectrum and no checkerboard is needed.
-    spec = _dct1(np.flip(sector))
-    spec *= _forward_scale(g)
-    return Field._adopt(g, spec, FREQUENCY, even=True)
+    return _pointwise(partial(_forward, f.grid), FREQUENCY, f)
 
 
 def inverse_transform(f: Field) -> Field:
     """Frequency samples back to physical samples; inverse of :func:`forward_transform`."""
     _require_rep(f, FREQUENCY, "inverse_transform")
-    g = f.grid
-    sector = f._even_block()
-    if sector is None:
-        phys = _fft.ifftn(_checkerboard(g) * f.samples)
-        return Field._adopt(g, _inverse_scale(g) * phys, PHYSICAL)
-    phys = _dct1(sector)
-    phys *= _inverse_scale(g) / g.size
-    return Field._adopt(g, np.flip(phys), PHYSICAL, even=True)
+    return _pointwise(partial(_inverse, f.grid), PHYSICAL, f)
 
 
 def _map_spectrum(f: Field, fn, *symbols) -> Field:
     """``fn(spectrum, *symbols)`` of ``f`` (lattice functions), in the rep of ``f``."""
     out = _pointwise(fn, FREQUENCY, f.as_frequency(), *symbols)
     return out if f.rep == FREQUENCY else out.as_physical()
+
+
+def _map_physical(f: Field, fn, *operands) -> Field:
+    """``fn(samples, *operands)`` of ``f`` (fields and lattice functions) in
+    the rep of ``f``; a spectrum is inverted and transformed back as arrays."""
+    if f.is_physical:
+        return _pointwise(fn, PHYSICAL, f, *operands)
+    weights, (spec, *arrays) = _operands(f, *operands)
+    out = _forward(f.grid, fn(_inverse(f.grid, spec), *arrays))
+    return Field._adopt(f.grid, out, FREQUENCY, even=weights is not None)
 
 
 @lru_cache(maxsize=None)

@@ -20,9 +20,12 @@ from nlsbox import (
     RadialProfile,
     Trajectory,
     UndersamplingWarning,
+    dealiased_modulus_power,
     energy,
     evolve,
+    forward_transform,
     increment_ledger,
+    inverse_transform,
     linear_flow,
     make_radial_data,
     mass,
@@ -32,7 +35,7 @@ from nlsbox import (
     strang_step,
     write_checkpoint,
 )
-from nlsbox import spectral
+from nlsbox import dynamics, spectral
 from oracles import random_field
 
 
@@ -255,6 +258,78 @@ class TestRepresentation:
         for start in (f, f.as_frequency()):
             traj = evolve(start, EvolutionParams(2, 1, 0.01, 0.07, sample_every=3))
             assert all(u.rep == "physical" for _, u in traj)
+
+
+# Frequency inputs on the three transform paths: an even field on dense DCT-I
+# matrices (32^2, padded 48^2), an even field on scipy's DCT (128^2, padded
+# 192^2) and a non-even field on the full-grid FFTs.
+STEP_PATHS = pytest.mark.parametrize("grid,even", [
+    (Grid(2, 16.0, 32), True), (Grid(2, 16.0, 128), True), (Grid(2, 16.0, 32), False),
+], ids=["even_dense_32^2", "even_dctn_128^2", "non_even_32^2"])
+
+
+def _step_input(grid, even):
+    f = gaussian(grid, 1.2, 2.0) if even else random_field(grid, seed=21, band=grid.points // 8)
+    spec = f.as_frequency()
+    assert isinstance(spec._half, np.ndarray) == even
+    return spec
+
+
+class TestStepComposition:
+    """The public composition of a step, L(dt/2) N(dt) L(dt/2) through
+    ``linear_flow``, ``nonlinear_phase`` and ``dealiased_modulus_power``: the
+    benchmark's traced expected calls rely on it."""
+
+    @STEP_PATHS
+    @pytest.mark.parametrize("dealias", [True, False], ids=["dealias", "plain"])
+    def test_step_calls_the_public_sub_flows(self, monkeypatch, grid, even, dealias):
+        calls = []
+        for name in ("linear_flow", "nonlinear_phase", "dealiased_modulus_power"):
+            def counted(*args, _name=name, _fn=getattr(dynamics, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(dynamics, name, counted)
+        spec = _step_input(grid, even)
+        step = ["linear_flow", "nonlinear_phase"]
+        step += ["dealiased_modulus_power"] * dealias + ["linear_flow"]
+        strang_step(spec, EvolutionParams(2, 1, 0.01, 0.01, dealias=dealias))
+        assert calls == step
+        calls.clear()
+        evolve(spec, EvolutionParams(2, 1, 0.01, 0.03, dealias=dealias))
+        assert calls == step * 3
+
+    @STEP_PATHS
+    @pytest.mark.parametrize("dealias", [True, False], ids=["dealias", "plain"])
+    def test_frequency_step_builds_one_field_per_sub_flow(self, monkeypatch, grid, even, dealias):
+        # Two free flows, the rotation and the modulus power: the rotation
+        # turns the spectrum physical and back as arrays, not as fields.
+        held = []
+
+        def counted(field, *args, _fn=Field._hold):
+            held.append(args[1])
+            _fn(field, *args)
+
+        spec = _step_input(grid, even)
+        monkeypatch.setattr(Field, "_hold", counted)
+        strang_step(spec, EvolutionParams(2, 1, 0.01, 0.01, dealias=dealias))
+        assert held == ["frequency"] + ["physical"] * dealias + ["frequency"] * 2
+
+    @STEP_PATHS
+    @pytest.mark.parametrize("dealias", [True, False], ids=["dealias", "plain"])
+    def test_frequency_rotation_is_the_explicit_composition(self, grid, even, dealias):
+        # Inverse transform, pointwise rotation and forward transform, each
+        # through its field, give the same bits as the rotation on arrays.
+        spec, dt, k = _step_input(grid, even), 0.01, 1
+        u = inverse_transform(spec)
+        if dealias:
+            rotate, operands = (lambda a, w: a * np.exp(-1j * dt * w.real),
+                                (u, dealiased_modulus_power(spec, 2 * k)))
+        else:
+            rotate, operands = lambda a: a * np.exp(-1j * dt * np.abs(a) ** (2 * k)), (u,)
+        want = forward_transform(spectral._pointwise(rotate, "physical", *operands))
+        got = nonlinear_phase(spec, dt, k, dealias=dealias)
+        assert got.rep == "frequency" and isinstance(got._half, np.ndarray) == even
+        assert got.samples.tobytes() == want.samples.tobytes()
 
 
 class TestLatticeSymmetry:

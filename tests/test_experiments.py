@@ -4,10 +4,15 @@ import argparse
 import json
 import math
 import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nlsbox
 from nlsbox import (
     MixedNormSpec,
     ProjectionBank,
@@ -24,7 +29,7 @@ from nlsbox import (
     spectral,
     weighted_radial_sup,
 )
-from nlsbox.errors import ConfigError
+from nlsbox.errors import ConfigError, UndersamplingWarning
 from nlsbox.experiments import (
     STUDY_NAMES,
     StudyReport,
@@ -594,6 +599,34 @@ class TestCli:
         code = main(["conserve", "--config", config, "--out", str(tmp_path / "out")])
         assert code == 2
         assert "conserve: fail" in capsys.readouterr().out
+
+    def test_quiet_run_prints_a_zero_warning_count(self, tmp_path, capsys):
+        config = write_config(tmp_path / "a.ini", CONSERVE_TEXT)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["conserve", "--config", config, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err.splitlines() == ["warnings: 0"]
+
+    def test_warning_lines_stay_and_are_counted(self, tmp_path):
+        # A child interpreter shows warnings as a user sees them, on stderr.
+        config = write_config(tmp_path / "a.ini", MORAWETZ_TEXT)
+        env = {**os.environ, "PYTHONPATH": str(Path(nlsbox.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-m", "nlsbox.experiments.cli", "morawetz",
+             "--config", config, "--out", str(tmp_path / "cli")],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert run.returncode == 0 and run.stdout == "morawetz: pass\n"
+        lines = run.stderr.splitlines()
+        shown = [line for line in lines if "UndersamplingWarning: " in line]
+        assert shown and lines[-1] == f"warnings: {len(shown)}"
+        # The count goes to stderr only: the artifacts are the study's own.
+        with pytest.warns(UndersamplingWarning):
+            run_study(load_config(config), tmp_path / "direct")
+        names = sorted(os.listdir(tmp_path / "direct"))
+        assert names == sorted(os.listdir(tmp_path / "cli"))
+        for name in names:
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "direct" / name).read_bytes()
 
     def test_all_studies_are_subcommands(self, capsys):
         with pytest.raises(SystemExit):

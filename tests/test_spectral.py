@@ -448,10 +448,19 @@ class TestEvenSector:
         blocks = [rng.standard_normal((m,) * dim) for m in sides]
         if dtype is np.complex128:
             blocks = [b + 1j * rng.standard_normal(b.shape) for b in blocks]
-        want = [scipy.fft.dctn(b, type=1) for b in blocks]
+        # Each block also as its reversal (negative strides on every axis, as
+        # the forward transform passes it) and as a read-only array.
+        inputs = []
+        for b in blocks:
+            frozen = b.copy()
+            frozen.setflags(write=False)
+            inputs += [b, np.flip(b), frozen]
+        want = [scipy.fft.dctn(x, type=1) for x in inputs]
         monkeypatch.setattr(spectral._fft, "dctn", None)  # every side here is dense
-        for block, ref in zip(blocks, want):
-            got = spectral._dct1(block)
+        for x, ref in zip(inputs, want):
+            before = x.copy()
+            got = spectral._dct1(x)
+            assert x.tobytes() == before.tobytes() and not np.shares_memory(got, x)
             assert got.dtype == ref.dtype and got.flags.c_contiguous and got.flags.writeable
             assert rel_error(got, ref) <= 1e-14
         # One side more and the block goes to dctn.
