@@ -41,10 +41,10 @@ and phases an operation is handed as functions are gathered on it alone
 is made from an even field or a radial profile holds only its block (see
 :class:`Field`), so a radial run stays on the block from step to step and
 is never tested again.  Only non-even input takes the full-grid FFTs.
-Blocks of side ``n/2+1`` up to 50 (complex) or 64 (real) in 2d and 19 or
-22 in 3d (at most ``2^18`` real multiply-adds per axis, one OpenBLAS
-thread) are transformed by dense DCT-I matrices on their float64 view, no
-(re, im) pair moved (:func:`_dct1`), larger ones by ``scipy.fft.dctn``.
+Within ``2^18`` real multiply-adds per axis (:func:`_dense`), each leg of
+the block path is one cached real matrix per axis, flips, scales, zero
+padding and band truncation folded in (:func:`_even_ops`, :func:`_apply`);
+beyond, ``scipy.fft.dctn``, loaded like the full-grid FFTs on first use.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from functools import lru_cache, partial
 from itertools import islice
 
 import numpy as np
-import scipy.fft as _fft
+import scipy  # its submodules load on first use: scipy.fft only off the dense path
 
 from .errors import (
     DomainError,
@@ -79,6 +79,13 @@ __all__ = [
     "write_field",
     "read_field",
 ]
+
+
+def __getattr__(name: str):  # ``_fft`` is scipy.fft, loaded on first use
+    if name != "_fft":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return scipy.fft
+
 
 PHYSICAL = "physical"
 FREQUENCY = "frequency"
@@ -317,33 +324,48 @@ def _inverse_scale(g: Grid) -> float:
     return (math.sqrt(2.0 * math.pi) / g.dx) ** g.dim
 
 
+def _dense(side: int, like: np.ndarray) -> bool:
+    """Whether an axis of a ``side`` cube with the dim and dtype of ``like``
+    costs at most ``2^18`` real multiply-adds, complex twice: OpenBLAS keeps
+    that ``gemm`` on one thread, where a dense DCT-I beats ``dctn`` 2-14x."""
+    return (1 + (like.dtype.kind == "c")) * side ** (like.ndim + 1) <= 1 << 18
+
+
+def _apply(op: tuple, x: np.ndarray) -> np.ndarray:
+    """The matrix ``a`` of ``op = (a, kron(a.T, I2))``, square or not, along
+    every axis of a float64 or complex128 cubic block, fresh and C-ordered, by
+    one ``matmul`` per axis on the float64 view, whose (re, im) pairs stay put:
+    a left product, a broadcast one on a 3d middle axis, a right one by ``op[1]``."""
+    (a, pairs), cplx = op, x.dtype.kind == "c"
+    z = np.ascontiguousarray(x).view(np.float64) if cplx else x
+    z = (a @ z.reshape(a.shape[1], -1)).reshape((a.shape[0],) + z.shape[1:])
+    z = np.matmul(a, z) if x.ndim == 3 else z
+    z = z.reshape(-1, z.shape[-1]) @ (pairs if cplx else a.T)
+    return (z.view(np.complex128) if cplx else z).reshape((a.shape[0],) * x.ndim)
+
+
 @lru_cache(maxsize=None)
-def _dct1_matrix(m: int, width: int = 1) -> np.ndarray:
-    """``kron(t, I_width)`` of scipy's DCT-I matrix ``t``, transposed; angles reduced exactly."""
-    j = np.arange(m)
-    t = np.cos(np.pi * (np.outer(j, j) % (2 * m - 2)) / (m - 1))
-    t[1:-1] *= 2.0
-    return _readonly(np.kron(t, np.eye(width)))
+def _even_ops(g: Grid, factors: int = 0) -> tuple:
+    """The block path's legs as read-only :func:`_apply` operators, scales in:
+    :func:`_forward` and :func:`_inverse`, scipy's DCT-I with columns or rows
+    reversed; with ``factors``, a :func:`_padded_product`'s way in, the padded
+    inverse ``Af[:, :n/2]``, from a spectrum or after the forward, and its way
+    out, band truncation, inverse and flip as one ``(n/2+1) x (nf/2+1)`` matrix."""
+    def dct1(grid):  # scipy's DCT-I of the block, angles reduced exactly; dx / sqrt(2 pi)
+        j = np.arange(grid.points // 2 + 1)
+        t = np.cos(np.pi * (np.outer(j, j) % grid.points) / (grid.points // 2))
+        t[1:-1] *= 2.0
+        return t.T, grid.dx / math.sqrt(2.0 * math.pi)
 
-
-def _dct1(x: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
-    """``scipy.fft.dctn(x, type=1)`` of a float64 or complex128 cubic block,
-    fresh and C-ordered.  While an axis costs at most ``2^18`` real
-    multiply-adds (a complex block twice), each axis is one ``matmul`` on the
-    float64 view, whose (re, im) pairs stay put: a left product on the first
-    axis, a broadcast one on a 3d middle axis, and a right product by
-    ``kron(t, I2)`` (``t`` if real) on the last.  OpenBLAS keeps ``gemm`` on
-    one thread up to ``65536 * GEMM_MULTITHREAD_THRESHOLD`` (4) multiply-adds
-    per thread, so the last axis, up to twice that, stays on one thread too;
-    there it beats ``dctn`` 2-14x (CHANGES.md).  Larger blocks go to ``dctn``."""
-    m, cplx = x.shape[0], x.dtype.kind == "c"
-    if (1 + cplx) * x.size * m > 1 << 18:
-        return _fft.dctn(x, type=1, overwrite_x=overwrite_x)
-    t, z = _dct1_matrix(m), np.ascontiguousarray(x).view(np.float64) if cplx else x
-    z = (t.T @ z.reshape(m, -1)).reshape(z.shape)
-    z = np.matmul(t.T, z) if x.ndim == 3 else z
-    z = z.reshape(-1, z.shape[-1]) @ (_dct1_matrix(m, 2) if cplx else t)
-    return (z.view(np.complex128) if cplx else z).reshape(x.shape)
+    c, step = dct1(g)
+    mats = step * c[:, ::-1], c[::-1] / (step * g.points)
+    if factors:
+        fine, half = _padding(g, factors)[0], g.points // 2
+        (cf, step), (forward, inverse) = dct1(fine), mats
+        spread = cf[:, :half] / (step * fine.points)
+        mats = (spread @ np.eye(half, half + 1), spread @ forward[:half],
+                inverse[:, :half] @ (step * cf[:half]))
+    return tuple((_readonly(a), _readonly(np.kron(a.T, np.eye(2)))) for a in mats)
 
 
 def _block(a: np.ndarray) -> np.ndarray:
@@ -424,15 +446,19 @@ def _forward(g: Grid, a: np.ndarray) -> np.ndarray:
     ``a`` of an even field as its block: reversed, the block runs over x = 0..L/2
     from the box centre, so its DCT-I is the box-phase spectrum."""
     if a.shape == g.shape:
-        return _forward_scale(g) * (_checkerboard(g) * _fft.fftn(a))
-    return _dct1(np.flip(a)) * _forward_scale(g)
+        return _forward_scale(g) * (_checkerboard(g) * scipy.fft.fftn(a))
+    if _dense(a.shape[0], a):
+        return _apply(_even_ops(g)[0], a)
+    return scipy.fft.dctn(np.flip(a), type=1) * _forward_scale(g)
 
 
 def _inverse(g: Grid, a: np.ndarray) -> np.ndarray:
     """The inverse of :func:`_forward`, on samples or on a block alike."""
     if a.shape == g.shape:
-        return _inverse_scale(g) * _fft.ifftn(_checkerboard(g) * a)
-    return np.flip(_dct1(a) * (_inverse_scale(g) / g.size))
+        return _inverse_scale(g) * scipy.fft.ifftn(_checkerboard(g) * a)
+    if _dense(a.shape[0], a):
+        return _apply(_even_ops(g)[1], a)
+    return np.flip(scipy.fft.dctn(a, type=1) * (_inverse_scale(g) / g.size))
 
 
 def forward_transform(f: Field) -> Field:
@@ -503,46 +529,45 @@ def _padded_product(f: Field, factors: int, pointwise) -> Field:
     truncated back to that band.
 
     Both grid scales are applied on the band.  An even ``f`` runs on the
-    ``[0, n/2]^d`` blocks of both grids, in box phase as in
-    :func:`forward_transform`, into a field held as its block; there the
-    ``-n/2`` planes are the last slot of each axis and are simply not
-    copied.  Otherwise the box-phase
-    checkerboards of the two grids agree on every kept mode (both sizes
-    are even), so they cancel and are never formed on the padded grid;
-    and a real product's truncated spectrum is Hermitian, so it is
-    inverted from its half spectrum and its samples are real.
+    ``[0, n/2]^d`` blocks of both grids (:func:`_even_ops`), where the
+    ``-n/2`` planes are each axis's last slot.  Otherwise the box-phase
+    checkerboards of the two grids agree on every kept mode (both sizes are
+    even), so they cancel and are never formed on the padded grid; and a
+    real product's truncated spectrum is Hermitian, so it is inverted from
+    its half spectrum and its samples are real.
     """
     g = f.grid
     half = g.points // 2
     fine, band, halfband = _padding(g, factors)
     sector = f._even_block()
     if sector is not None:
-        scale_in = _inverse_scale(fine) / fine.size
-        kept = (slice(0, half),) * g.dim
-        if f.is_physical:
-            coarse = _dct1(np.flip(sector))[kept]
-            coarse *= _forward_scale(g) * scale_in
+        side, kept = fine.points // 2 + 1, (slice(0, half),) * g.dim
+        if _dense(side, sector):
+            w = pointwise(_apply(_even_ops(g, factors)[f.is_physical], sector))
         else:
-            coarse = scale_in * sector[kept]
-        spec = np.zeros((fine.points // 2 + 1,) * g.dim, dtype=coarse.dtype)
-        spec[kept] = coarse
-        w = pointwise(_dct1(spec, overwrite_x=True))
+            scale = _inverse_scale(fine) / fine.size * (_forward_scale(g) if f.is_physical else 1)
+            coarse = scipy.fft.dctn(np.flip(sector), type=1) if f.is_physical else sector
+            spec = np.zeros((side,) * g.dim, complex)
+            spec[kept] = coarse[kept] * scale
+            w = pointwise(scipy.fft.dctn(spec, type=1, overwrite_x=True))
+        if _dense(side, w):
+            return Field._adopt(g, _apply(_even_ops(g, factors)[2], w), PHYSICAL, even=True)
         prod = np.zeros((half + 1,) * g.dim, dtype=w.dtype)
         scale_out = _forward_scale(fine) * _inverse_scale(g) / g.size
-        prod[kept] = scale_out * _dct1(w, overwrite_x=True)[kept]
-        prod = np.flip(_dct1(prod, overwrite_x=True))
+        prod[kept] = scale_out * scipy.fft.dctn(w, type=1, overwrite_x=True)[kept]
+        prod = np.flip(scipy.fft.dctn(prod, type=1, overwrite_x=True))
         return Field._adopt(g, prod, PHYSICAL, even=True)
     from_phys, from_freq, to_full, to_half = _band_factors(g, factors)
     spec = np.zeros(fine.shape, dtype=np.complex128)
     if f.is_physical:
-        spec[band] = from_phys * _fft.fftn(f.samples)
+        spec[band] = from_phys * scipy.fft.fftn(f.samples)
     else:
         spec[band] = from_freq * f.samples
-    w = pointwise(_fft.ifftn(spec, overwrite_x=True))
+    w = pointwise(scipy.fft.ifftn(spec, overwrite_x=True))
     if np.isrealobj(w):
-        w = _fft.irfftn(to_half * _fft.rfftn(w)[halfband], s=g.shape, overwrite_x=True)
+        w = scipy.fft.irfftn(to_half * scipy.fft.rfftn(w)[halfband], s=g.shape, overwrite_x=True)
     else:
-        w = _fft.ifftn(to_full * _fft.fftn(w, overwrite_x=True)[band], overwrite_x=True)
+        w = scipy.fft.ifftn(to_full * scipy.fft.fftn(w, overwrite_x=True)[band], overwrite_x=True)
     return Field._adopt(g, w, PHYSICAL)
 
 

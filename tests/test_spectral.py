@@ -2,7 +2,11 @@
 products against convolution oracles, radial data invariances, field IO."""
 
 import math
+import os
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,7 @@ from nlsbox import (
     tail_mass_fraction,
     write_field,
 )
+import nlsbox
 from nlsbox import dynamics, spectral
 from oracles import (
     band_restrict,
@@ -375,23 +380,25 @@ class TestEvenSector:
 
     @staticmethod
     def transforms_called(monkeypatch, calls):
-        # FFTs are logged by name, each _dct1 call as ("dense", m, complex)
-        # or, when it hands its block to scipy.fft.dctn, as ("dctn", m, complex).
-        for name in ("dctn", "fftn", "ifftn", "rfftn", "irfftn"):
+        # FFTs are logged by name, each dense operator application as
+        # ("dense", m, complex) with m the larger side of its matrix, and each
+        # scipy.fft.dctn call as ("dctn", m, complex).
+        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
             def counted(*args, _name=name, _fn=getattr(spectral._fft, name), **kwargs):
                 calls.append(_name)
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(spectral._fft, name, counted)
 
-        def dct1(x, *args, _fn=spectral._dct1, **kwargs):
-            before = len(calls)
-            out = _fn(x, *args, **kwargs)
-            path = "dctn" if calls[before:] == ["dctn"] else "dense"
-            assert calls[before:] in ([], ["dctn"])
-            calls[before:] = [(path, x.shape[0], np.iscomplexobj(x))]
-            return out
+        def dctn(x, *args, _fn=spectral._fft.dctn, **kwargs):
+            calls.append(("dctn", x.shape[0], np.iscomplexobj(x)))
+            return _fn(x, *args, **kwargs)
 
-        monkeypatch.setattr(spectral, "_dct1", dct1)
+        def apply(op, x, _fn=spectral._apply):
+            calls.append(("dense", max(op[0].shape), np.iscomplexobj(x)))
+            return _fn(op, x)
+
+        monkeypatch.setattr(spectral._fft, "dctn", dctn)
+        monkeypatch.setattr(spectral, "_apply", apply)
 
     @pytest.mark.parametrize("grid,kind,path", [
         (Grid(2, 16.0, 64), "radial", "dense"),
@@ -430,12 +437,23 @@ class TestEvenSector:
         if path == "fft":
             assert all(isinstance(name, str) and name != "dctn" for name in calls)
             return
-        # The transforms take the path of the coarse block; every block,
-        # coarse or padded, is dense exactly when one axis matmul is at most
-        # 2^18 real multiply-adds, a complex block counting twice.
-        assert transforms == [(path, grid.points // 2 + 1, True)] * 2
-        assert all(taken == ("dense" if (1 + cplx) * m ** (grid.dim + 1) <= 1 << 18 else "dctn")
-                   for taken, m, cplx in calls)
+
+        def leg(side, cplx, *fallback):
+            # A leg whose largest block has this side is one dense operator
+            # exactly when one axis of that block's DCT-I is at most 2^18 real
+            # multiply-adds, complex twice; else it makes its dctn calls.
+            if (1 + cplx) * side ** (grid.dim + 1) <= 1 << 18:
+                return [("dense", side, cplx)]
+            return [("dctn", m, cplx) for m in fallback]
+
+        m = grid.points // 2 + 1
+        mf2, mf3 = (2 * -(-(factors + 1) * grid.points // 4) // 2 + 1 for factors in (2, 3))
+        # The transforms take the path of the coarse block.
+        assert transforms == [(path, m, True)] * 2 == leg(m, True, m) * 2
+        # |u|^2 of a spectrum: in from the spectrum, out from a real product;
+        # |u|^2 u of physical samples: in after the coarse forward, complex out.
+        assert calls[2:] == (leg(mf2, True, mf2) + leg(mf2, False, mf2, m)
+                             + leg(mf3, True, m, mf3) + leg(mf3, True, mf3, m))
 
     @pytest.mark.parametrize("dim", [2, 3], ids=["2d", "3d"])
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["real", "complex"])
@@ -456,19 +474,37 @@ class TestEvenSector:
             frozen.setflags(write=False)
             inputs += [b, np.flip(b), frozen]
         want = [scipy.fft.dctn(x, type=1) for x in inputs]
-        monkeypatch.setattr(spectral._fft, "dctn", None)  # every side here is dense
+        monkeypatch.setattr(spectral._fft, "dctn", None)  # the dense routine alone
         for x, ref in zip(inputs, want):
+            t = scipy.fft.dct(np.eye(x.shape[0]), type=1, axis=0)  # column j: DCT-I of e_j
             before = x.copy()
-            got = spectral._dct1(x)
+            got = spectral._apply((t, np.kron(t.T, np.eye(2))), x)
             assert x.tobytes() == before.tobytes() and not np.shares_memory(got, x)
             assert got.dtype == ref.dtype and got.flags.c_contiguous and got.flags.writeable
             assert rel_error(got, ref) <= 1e-14
-        # One side more and the block goes to dctn.
-        monkeypatch.undo()
-        calls = []
-        self.transforms_called(monkeypatch, calls)
-        spectral._dct1(np.ones((largest + 1,) * dim, dtype=dtype))
-        assert calls == [("dctn", largest + 1, dtype is np.complex128)]
+        # Every side here is admitted, and one side more is not.
+        assert all(spectral._dense(m, x) for m, x in zip(sides, blocks))
+        assert not spectral._dense(largest + 1, blocks[-1])
+
+    def test_radial_run_within_the_cap_never_loads_scipy_fft(self):
+        # A fresh interpreter: the test process has scipy.fft loaded already.
+        script = """
+import sys
+from nlsbox import EvolutionParams, Field, Grid, RadialProfile, energy, evolve
+from nlsbox import forward_transform, make_radial_data, mass
+grid = Grid(2, 16.0, 32)
+datum = make_radial_data(grid, RadialProfile("gaussian", 1.2, 2.0))
+traj = evolve(datum, EvolutionParams(dim=2, k=1, dt=1e-3, t_final=0.01, sample_every=5))
+print(len(traj), mass(traj.final) > 0.0, energy(traj.final, 1) > 0.0, "scipy.fft" in sys.modules)
+forward_transform(Field.physical(grid, traj.final.samples + 1e-3 * grid.space_radius()[::-1]))
+print("scipy.fft" in sys.modules)
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(nlsbox.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        # Not loaded by the radial run; loaded by the first non-even transform.
+        assert run.stdout.split() == ["3", "True", "True", "False", "True"]
 
     @pytest.mark.parametrize("grid", [Grid(2, 16.0, 32), Grid(2, 16.0, 128), Grid(3, 8.0, 16)],
                              ids=["32^2_dense", "128^2_dctn", "16^3_dense"])
@@ -483,6 +519,57 @@ class TestEvenSector:
             dealiased_power(f, 3)
         assert [f._half.tobytes() for f in (u, spec)] == before
         assert not u._half.flags.writeable and not spec._half.flags.writeable
+
+
+class TestEvenOperators:
+    """Within the cap each leg of the block path is one cached operator, with
+    the flips, scales, zero padding and band truncation folded in; it must
+    match the composition it replaces, ``dctn`` and the glue around it."""
+
+    @staticmethod
+    def block(dim, side, cplx):
+        rng = np.random.default_rng(side + 10 * dim)
+        b = rng.standard_normal((side,) * dim)
+        return b + 1j * rng.standard_normal(b.shape) if cplx else b
+
+    @staticmethod
+    def check(op, got, want):
+        assert all(not a.flags.writeable for a in op)
+        assert got.flags.c_contiguous and rel_error(got, want) <= 1e-14
+
+    @pytest.mark.parametrize("grid", [Grid(2, 16.0, 32), Grid(3, 8.0, 16)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    def test_transforms(self, grid, cplx):
+        x, c = self.block(grid.dim, grid.points // 2 + 1, cplx), math.sqrt(2.0 * math.pi)
+        forward, inverse = spectral._even_ops(grid)
+        assert spectral._even_ops(grid) is spectral._even_ops(grid)
+        want = scipy.fft.dctn(np.flip(x), type=1) * (grid.dx / c) ** grid.dim
+        self.check(forward, spectral._forward(grid, x), want)
+        want = np.flip(scipy.fft.dctn(x, type=1) * (c / grid.dx) ** grid.dim / grid.size)
+        self.check(inverse, spectral._inverse(grid, x), want)
+
+    @pytest.mark.parametrize("grid", [Grid(2, 16.0, 32), Grid(3, 8.0, 16)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("factors", [2, 3, 4])
+    def test_padded_product_legs(self, grid, factors):
+        n, half, c = grid.points, grid.points // 2, math.sqrt(2.0 * math.pi)
+        fine = 2 * -(-(factors + 1) * n // 4)
+        dxf, kept = grid.extent / fine, (slice(0, half),) * grid.dim
+        scale_in = (c / dxf / fine) ** grid.dim
+        into_spectrum, into_physical, out = spectral._even_ops(grid, factors)
+        x = self.block(grid.dim, half + 1, True)
+        if spectral._dense(fine // 2 + 1, x):
+            spec = np.zeros((fine // 2 + 1,) * grid.dim, dtype=complex)
+            spec[kept] = x[kept] * scale_in
+            self.check(into_spectrum, spectral._apply(into_spectrum, x), scipy.fft.dctn(spec, type=1))
+            spec[kept] = scipy.fft.dctn(np.flip(x), type=1)[kept] * (grid.dx / c) ** grid.dim * scale_in
+            self.check(into_physical, spectral._apply(into_physical, x), scipy.fft.dctn(spec, type=1))
+        for cplx in (False, True):
+            w = self.block(grid.dim, fine // 2 + 1, cplx)
+            if not spectral._dense(fine // 2 + 1, w):
+                continue
+            prod = np.zeros((half + 1,) * grid.dim, dtype=w.dtype)
+            prod[kept] = scipy.fft.dctn(w, type=1)[kept] * (dxf / grid.dx / n) ** grid.dim
+            self.check(out, spectral._apply(out, w), np.flip(scipy.fft.dctn(prod, type=1)))
 
 
 class TestRadialData:
