@@ -24,12 +24,12 @@ Products are formed alias-free by one routine, the padding rule of
 Orszag (1971): for an m-fold product (``m = degree`` for
 ``|f|^(degree-1) f``, ``m = power`` for ``|f|^power``) zero pad the
 spectrum to ``(m+1)n/2`` points per axis, rounded up to even, take the
-product pointwise on the padded lattice, and truncate back.  The product
-band is the symmetric ``[-n/2+1, n/2-1]``: the unpaired ``-n/2`` planes
-are dropped from the padded input and from the truncated product, so the
-padded field of an even spectrum is even and a real product's spectrum
-is Hermitian.  A real product is transformed with a real FFT and
-inverted from its half spectrum.
+product pointwise on the padded lattice, and truncate back.  Every
+product starts from the spectrum of its input.  The product band is the
+symmetric ``[-n/2+1, n/2-1]``: the unpaired ``-n/2`` planes are dropped
+from the padded input and from the truncated product, so the padded
+field of an even spectrum is even and a real product's spectrum is
+Hermitian; its samples keep their real part.
 
 Radial data are even in every axis, ``a[j] = a[n-j]`` in either storage
 order, and an even array is fixed by its ``[0, n/2]^d`` block, whose
@@ -40,7 +40,8 @@ and phases an operation is handed as functions are gathered on it alone
 (the phases and the Sobolev and smoothing symbols once per grid).  What
 is made from an even field or a radial profile holds only its block (see
 :class:`Field`), so a radial run stays on the block from step to step and
-is never tested again.  Only non-even input takes the full-grid FFTs.
+is never tested again.  Only non-even input takes the full-grid FFTs, on
+the padded grid too.
 Within ``2^18`` real multiply-adds per axis (:func:`_dense`), each leg of
 the block path is one cached real matrix per axis, flips, scales, zero
 padding and band truncation folded in (:func:`_even_ops`, :func:`_apply`);
@@ -79,12 +80,6 @@ __all__ = [
     "write_field",
     "read_field",
 ]
-
-
-def __getattr__(name: str):  # ``_fft`` is scipy.fft, loaded on first use
-    if name != "_fft":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return scipy.fft
 
 
 PHYSICAL = "physical"
@@ -209,7 +204,8 @@ class Field:
     :func:`read_field` or :func:`make_radial_data` make from even input (or
     a radial profile) holds only its ``[0, n/2]^d`` block, and ``samples``
     unfolds it (read-only) when first read.  A physical field keeps the
-    spectrum it was inverted from, or else its first :meth:`as_frequency`.
+    spectrum it was inverted from, or else its first :meth:`as_frequency`,
+    which is where its products start.
     """
 
     __slots__ = ("grid", "rep", "_samples", "_half", "_spectrum")
@@ -348,8 +344,8 @@ def _apply(op: tuple, x: np.ndarray) -> np.ndarray:
 def _even_ops(g: Grid, factors: int = 0) -> tuple:
     """The block path's legs as read-only :func:`_apply` operators, scales in:
     :func:`_forward` and :func:`_inverse`, scipy's DCT-I with columns or rows
-    reversed; with ``factors``, a :func:`_padded_product`'s way in, the padded
-    inverse ``Af[:, :n/2]``, from a spectrum or after the forward, and its way
+    reversed; with ``factors``, a :func:`_padded_product`'s way in, the band
+    of a spectrum's block to the padded inverse ``Af[:, :n/2]``, and its way
     out, band truncation, inverse and flip as one ``(n/2+1) x (nf/2+1)`` matrix."""
     def dct1(grid):  # scipy's DCT-I of the block, angles reduced exactly; dx / sqrt(2 pi)
         j = np.arange(grid.points // 2 + 1)
@@ -360,11 +356,10 @@ def _even_ops(g: Grid, factors: int = 0) -> tuple:
     c, step = dct1(g)
     mats = step * c[:, ::-1], c[::-1] / (step * g.points)
     if factors:
-        fine, half = _padding(g, factors)[0], g.points // 2
-        (cf, step), (forward, inverse) = dct1(fine), mats
+        fine, half = _padding(g, factors, True)[0], g.points // 2
+        (cf, step), inverse = dct1(fine), mats[1]
         spread = cf[:, :half] / (step * fine.points)
-        mats = (spread @ np.eye(half, half + 1), spread @ forward[:half],
-                inverse[:, :half] @ (step * cf[:half]))
+        mats = spread @ np.eye(half, half + 1), inverse[:, :half] @ (step * cf[:half])
     return tuple((_readonly(a), _readonly(np.kron(a.T, np.eye(2)))) for a in mats)
 
 
@@ -490,85 +485,54 @@ def _map_physical(f: Field, fn, *operands) -> Field:
 
 
 @lru_cache(maxsize=None)
-def _padding(grid: Grid, factors: int) -> tuple:
-    """The padded grid of a ``factors``-fold product, and the band's index in
-    its spectrum and in its real half spectrum (last-axis modes ``0..n/2``)."""
+def _padding(grid: Grid, factors: int, even: bool) -> tuple:
+    """The padded grid of a ``factors``-fold product, and the band
+    ``[-n/2+1, n/2-1]`` as an index into the coarse and into the padded
+    spectrum, or with ``even`` into their ``[0, n/2]^d`` blocks."""
     half = grid.points // 2
     fine = Grid(grid.dim, grid.extent, 2 * -(-(factors + 1) * grid.points // 4))
-    slots = _readonly(np.r_[0:half, fine.points - half : fine.points])
-    band = np.ix_(*([slots] * grid.dim))
-    halfband = np.ix_(*([slots] * (grid.dim - 1)), _readonly(np.arange(half + 1)))
-    return fine, band, halfband
-
-
-@lru_cache(maxsize=None)
-def _band_factors(grid: Grid, factors: int) -> tuple:
-    """Factors that carry the band of a coarse spectrum onto the padded
-    grid, from physical and from frequency samples, and back from the
-    product's full and half spectrum.  They hold both grid scales and are
-    zero on the ``-n/2`` planes (and on a half spectrum's ``+n/2`` plane),
-    which drops the unpaired mode."""
-    half = grid.points // 2
-    fine = _padding(grid, factors)[0]
-    keep = np.ones(grid.shape)
-    for axis in range(grid.dim):
-        keep[(slice(None),) * axis + (half,)] = 0.0
-    scale_in, scale_out = _inverse_scale(fine), _forward_scale(fine) * _inverse_scale(grid)
-    carry = (
-        _forward_scale(grid) * scale_in * keep,
-        scale_in * _checkerboard(grid) * keep,
-        scale_out * keep,
-        scale_out * keep[..., : half + 1],
-    )
-    return tuple(_readonly(c) for c in carry)
+    if even:
+        kept = (slice(0, half),) * grid.dim
+        return fine, kept, kept
+    return (fine,) + tuple(np.ix_(*[_readonly(np.r_[0:half, n - half + 1 : n])] * grid.dim)
+                           for n in (grid.points, fine.points))
 
 
 def _padded_product(f: Field, factors: int, pointwise) -> Field:
     """The physical field ``pointwise(f)``, a ``factors``-fold product,
-    formed on the padded grid from the band ``[-n/2+1, n/2-1]`` of ``f`` and
-    truncated back to that band.
+    formed on the padded grid from the band ``[-n/2+1, n/2-1]`` of the
+    spectrum of ``f`` and truncated back to that band.
 
-    Both grid scales are applied on the band.  An even ``f`` runs on the
-    ``[0, n/2]^d`` blocks of both grids (:func:`_even_ops`), where the
-    ``-n/2`` planes are each axis's last slot.  Otherwise the box-phase
-    checkerboards of the two grids agree on every kept mode (both sizes are
-    even), so they cancel and are never formed on the padded grid; and a
-    real product's truncated spectrum is Hermitian, so it is inverted from
-    its half spectrum and its samples are real.
+    An even spectrum runs on the ``[0, n/2]^d`` blocks of both grids
+    (:func:`_even_ops`), both grid scales applied on the band; any other
+    takes :func:`_forward` and :func:`_inverse` on both grids, and a real
+    product keeps the real part, so its samples are real.
     """
-    g = f.grid
-    half = g.points // 2
-    fine, band, halfband = _padding(g, factors)
-    sector = f._even_block()
-    if sector is not None:
-        side, kept = fine.points // 2 + 1, (slice(0, half),) * g.dim
-        if _dense(side, sector):
-            w = pointwise(_apply(_even_ops(g, factors)[f.is_physical], sector))
-        else:
-            scale = _inverse_scale(fine) / fine.size * (_forward_scale(g) if f.is_physical else 1)
-            coarse = scipy.fft.dctn(np.flip(sector), type=1) if f.is_physical else sector
-            spec = np.zeros((side,) * g.dim, complex)
-            spec[kept] = coarse[kept] * scale
-            w = pointwise(scipy.fft.dctn(spec, type=1, overwrite_x=True))
-        if _dense(side, w):
-            return Field._adopt(g, _apply(_even_ops(g, factors)[2], w), PHYSICAL, even=True)
-        prod = np.zeros((half + 1,) * g.dim, dtype=w.dtype)
-        scale_out = _forward_scale(fine) * _inverse_scale(g) / g.size
-        prod[kept] = scale_out * scipy.fft.dctn(w, type=1, overwrite_x=True)[kept]
-        prod = np.flip(scipy.fft.dctn(prod, type=1, overwrite_x=True))
-        return Field._adopt(g, prod, PHYSICAL, even=True)
-    from_phys, from_freq, to_full, to_half = _band_factors(g, factors)
-    spec = np.zeros(fine.shape, dtype=np.complex128)
-    if f.is_physical:
-        spec[band] = from_phys * scipy.fft.fftn(f.samples)
+    g, spec = f.grid, f.as_frequency()
+    sector = spec._even_block()
+    fine, band, padded = _padding(g, factors, sector is not None)
+    if sector is None:
+        into = np.zeros(fine.shape, dtype=np.complex128)
+        into[padded] = spec.samples[band]
+        w = pointwise(_inverse(fine, into))
+        prod = np.zeros(g.shape, dtype=np.complex128)
+        prod[band] = _forward(fine, w)[padded]
+        out = _inverse(g, prod)
+        return Field._adopt(g, out.real if np.isrealobj(w) else out, PHYSICAL)
+    side = fine.points // 2 + 1
+    if _dense(side, sector):
+        w = pointwise(_apply(_even_ops(g, factors)[0], sector))
     else:
-        spec[band] = from_freq * f.samples
-    w = pointwise(scipy.fft.ifftn(spec, overwrite_x=True))
-    if np.isrealobj(w):
-        w = scipy.fft.irfftn(to_half * scipy.fft.rfftn(w)[halfband], s=g.shape, overwrite_x=True)
-    else:
-        w = scipy.fft.ifftn(to_full * scipy.fft.fftn(w, overwrite_x=True)[band], overwrite_x=True)
-    return Field._adopt(g, w, PHYSICAL)
+        into = np.zeros((side,) * g.dim, complex)
+        into[padded] = sector[band] * (_inverse_scale(fine) / fine.size)
+        w = pointwise(scipy.fft.dctn(into, type=1, overwrite_x=True))
+    if _dense(side, w):
+        return Field._adopt(g, _apply(_even_ops(g, factors)[1], w), PHYSICAL, even=True)
+    prod = np.zeros((g.points // 2 + 1,) * g.dim, dtype=w.dtype)
+    scale_out = _forward_scale(fine) * _inverse_scale(g) / g.size
+    prod[band] = scale_out * scipy.fft.dctn(w, type=1, overwrite_x=True)[padded]
+    prod = np.flip(scipy.fft.dctn(prod, type=1, overwrite_x=True))
+    return Field._adopt(g, prod, PHYSICAL, even=True)
 
 
 def dealiased_power(f: Field, degree: int) -> Field:

@@ -1,16 +1,19 @@
 """Tests for the study configs, reports, drivers, and the CLI."""
 
 import argparse
+import configparser
 import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import nlsbox
 from nlsbox import (
@@ -42,6 +45,7 @@ from nlsbox.experiments import cli, studies
 from nlsbox.experiments.cli import main
 from nlsbox.experiments.reports import write_rows
 from nlsbox.spectral import Grid, make_radial_data
+import test_acceptance
 
 
 def write_config(path, text):
@@ -559,6 +563,34 @@ class TestStudies:
             first = (tmp_path / "one" / name).read_bytes()
             second = (tmp_path / "two" / name).read_bytes()
             assert first == second, name
+
+    @pytest.mark.filterwarnings("ignore::nlsbox.errors.UndersamplingWarning")
+    def test_acceptance_configs_never_reach_full_grid_ffts(self, monkeypatch, tmp_path):
+        # Each acceptance config at a 4-step horizon and a 3-field corpus:
+        # every transform and product these studies make is of even data, so
+        # the full-grid FFTs (and the non-even product built on them) stay idle.
+        calls = []
+
+        def refuse(*args, _name, **kwargs):
+            calls.append(_name)
+            raise AssertionError(f"scipy.fft.{_name} was called")
+
+        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+            monkeypatch.setattr(scipy.fft, name, partial(refuse, _name=name))
+        for source in ("SWEEP_2D", "SWEEP_3D", "CONSERVE", "INEQ_2D", "INEQ_3D", "MORAWETZ",
+                       "REPLAY"):
+            parser = configparser.ConfigParser(interpolation=None)
+            parser.read_string(getattr(test_acceptance, source))
+            if parser.has_section("evolution"):
+                dt = float(parser["evolution"]["dt"])
+                parser["evolution"].update(t_final=repr(4 * dt), sample_every="2")
+            if parser.has_section("corpus"):
+                parser["corpus"]["count"] = "3"
+            path = tmp_path / f"{source}.ini"
+            with open(path, "w") as fh:
+                parser.write(fh)
+            run_study(load_config(str(path)), tmp_path / source)
+        assert calls == []
 
 
 class TestCli:

@@ -261,10 +261,16 @@ class TestTransforms:
 
 
 class TestDealiasedProducts:
+    @staticmethod
+    def as_rep(f, rep):
+        # Physical samples, or a spectrum held by a fresh frequency field.
+        return f if rep == "physical" else Field.frequency(f.grid, f.as_frequency().samples)
+
+    @pytest.mark.parametrize("rep", ["physical", "frequency"])
     @pytest.mark.parametrize("degree", [3, 5])
-    def test_full_band_2d_matches_convolution_oracle(self, grid2d_small, degree):
+    def test_full_band_2d_matches_convolution_oracle(self, grid2d_small, degree, rep):
         f = random_field(grid2d_small, seed=41 + degree)
-        impl = dealiased_power(f, degree).as_frequency().samples
+        impl = dealiased_power(self.as_rep(f, rep), degree).as_frequency().samples
         oracle = direct_odd_power_spectrum(f, degree)
         scale = np.abs(oracle).max()
         assert np.abs(impl - oracle).max() <= 1e-12 * scale
@@ -307,11 +313,14 @@ class TestDealiasedProducts:
         [Grid(2, 16.0, 16), Grid(3, 8.0, 8), Grid(2, 10.0, 10), Grid(3, 6.0, 6)],
         ids=["2d", "3d", "2d_odd_half", "3d_odd_half"],
     )
-    def test_modulus_power_full_band_matches_convolution_oracle(self, grid, power):
+    @pytest.mark.parametrize("rep", ["physical", "frequency"])
+    def test_modulus_power_full_band_matches_convolution_oracle(self, grid, power, rep):
         # Full band: the -n/2 planes are populated, which pins that the
         # unpaired Nyquist mode is dropped from the padded product.
         f = random_field(grid, seed=90 + power + grid.dim)
-        impl = dealiased_modulus_power(f, power).as_frequency().samples
+        w = dealiased_modulus_power(self.as_rep(f, rep), power)
+        assert not w.samples.imag.any()
+        impl = w.as_frequency().samples
         cube = modulus_power_coefficients(f, power)
         oracle = coefficients_to_spectrum(band_restrict(cube, grid), grid)
         scale = np.abs(oracle).max()
@@ -384,12 +393,12 @@ class TestEvenSector:
         # ("dense", m, complex) with m the larger side of its matrix, and each
         # scipy.fft.dctn call as ("dctn", m, complex).
         for name in ("fftn", "ifftn", "rfftn", "irfftn"):
-            def counted(*args, _name=name, _fn=getattr(spectral._fft, name), **kwargs):
+            def counted(*args, _name=name, _fn=getattr(scipy.fft, name), **kwargs):
                 calls.append(_name)
                 return _fn(*args, **kwargs)
-            monkeypatch.setattr(spectral._fft, name, counted)
+            monkeypatch.setattr(scipy.fft, name, counted)
 
-        def dctn(x, *args, _fn=spectral._fft.dctn, **kwargs):
+        def dctn(x, *args, _fn=scipy.fft.dctn, **kwargs):
             calls.append(("dctn", x.shape[0], np.iscomplexobj(x)))
             return _fn(x, *args, **kwargs)
 
@@ -397,7 +406,7 @@ class TestEvenSector:
             calls.append(("dense", max(op[0].shape), np.iscomplexobj(x)))
             return _fn(op, x)
 
-        monkeypatch.setattr(spectral._fft, "dctn", dctn)
+        monkeypatch.setattr(scipy.fft, "dctn", dctn)
         monkeypatch.setattr(spectral, "_apply", apply)
 
     @pytest.mark.parametrize("grid,kind,path", [
@@ -413,8 +422,9 @@ class TestEvenSector:
             "random_64^2", "even_by_value_odd_by_sign_64^2", "radial_32^2_sector_off"])
     def test_path_taken(self, monkeypatch, grid, kind, path):
         if kind == "signed_zero":
-            # Even by value only; its spectrum is even bit for bit, so the
-            # same samples stand in for the frequency input too.
+            # Even by value only, so its transforms and the product of the
+            # same samples as a spectrum take the full grid; the spectrum of
+            # the physical samples is even bit for bit.
             samples = TestSerialization.even_by_value_odd_by_sign().samples
             u, spec = Field.physical(grid, samples), Field.frequency(grid, samples)
         elif kind == "radial_sector_off":
@@ -430,13 +440,8 @@ class TestEvenSector:
         self.transforms_called(monkeypatch, calls)
         forward_transform(u)
         inverse_transform(spec)
-        transforms = list(calls)
         dealiased_modulus_power(spec, 2)
         dealiased_power(u, 3)
-        assert calls
-        if path == "fft":
-            assert all(isinstance(name, str) and name != "dctn" for name in calls)
-            return
 
         def leg(side, cplx, *fallback):
             # A leg whose largest block has this side is one dense operator
@@ -448,12 +453,37 @@ class TestEvenSector:
 
         m = grid.points // 2 + 1
         mf2, mf3 = (2 * -(-(factors + 1) * grid.points // 4) // 2 + 1 for factors in (2, 3))
-        # The transforms take the path of the coarse block.
-        assert transforms == [(path, m, True)] * 2 == leg(m, True, m) * 2
-        # |u|^2 of a spectrum: in from the spectrum, out from a real product;
-        # |u|^2 u of physical samples: in after the coarse forward, complex out.
-        assert calls[2:] == (leg(mf2, True, mf2) + leg(mf2, False, mf2, m)
-                             + leg(mf3, True, m, mf3) + leg(mf3, True, mf3, m))
+        # A product of a spectrum that is not even: the padded inverse and
+        # forward, then the coarse inverse, all on the full grid.
+        full = ["ifftn", "fftn", "ifftn"]
+        if path == "fft":
+            # Both products start from the spectrum, which u holds; the
+            # signed-zero u has none yet, and the block of its spectrum is
+            # the way in.
+            cube = ["fftn"] + leg(mf3, True, mf3) + leg(mf3, True, mf3, m)
+            assert calls == ["fftn", "ifftn"] + full + (cube if kind == "signed_zero" else full)
+            return
+        # The transforms take the path of the coarse block; |u|^2 of a
+        # spectrum has a real product, |u|^2 u of physical samples starts
+        # from their held spectrum and has a complex one.
+        assert calls == (leg(m, True, m) * 2 + leg(mf2, True, mf2) + leg(mf2, False, mf2, m)
+                         + leg(mf3, True, mf3) + leg(mf3, True, mf3, m))
+        assert calls[:2] == [(path, m, True)] * 2
+
+    def test_even_by_value_odd_by_sign_products_match_full_grid(self):
+        # A radial field with one mirrored pair of zeros of opposite sign:
+        # not even bit for bit, so it takes the full grid, as physical
+        # samples and as a spectrum alike.
+        grid = Grid(2, 16.0, 64)
+        samples = self.even_field(grid).samples.copy()
+        samples[3, 0], samples[61, 0] = 0.0, -0.0
+        for f in (Field.physical(grid, samples), Field.frequency(grid, samples)):
+            assert f._even_block() is None
+            u = f.as_physical().samples
+            got = dealiased_modulus_power(f, 4).samples
+            assert rel_error(got, full_grid_product(u, 4, lambda w: np.abs(w) ** 4)) <= 1e-12
+            got = dealiased_power(f, 3).as_physical().samples
+            assert rel_error(got, full_grid_product(u, 3, lambda w: np.abs(w) ** 2 * w)) <= 1e-12
 
     @pytest.mark.parametrize("dim", [2, 3], ids=["2d", "3d"])
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["real", "complex"])
@@ -474,7 +504,7 @@ class TestEvenSector:
             frozen.setflags(write=False)
             inputs += [b, np.flip(b), frozen]
         want = [scipy.fft.dctn(x, type=1) for x in inputs]
-        monkeypatch.setattr(spectral._fft, "dctn", None)  # the dense routine alone
+        monkeypatch.setattr(scipy.fft, "dctn", None)  # the dense routine alone
         for x, ref in zip(inputs, want):
             t = scipy.fft.dct(np.eye(x.shape[0]), type=1, axis=0)  # column j: DCT-I of e_j
             before = x.copy()
@@ -555,14 +585,12 @@ class TestEvenOperators:
         fine = 2 * -(-(factors + 1) * n // 4)
         dxf, kept = grid.extent / fine, (slice(0, half),) * grid.dim
         scale_in = (c / dxf / fine) ** grid.dim
-        into_spectrum, into_physical, out = spectral._even_ops(grid, factors)
+        into, out = spectral._even_ops(grid, factors)
         x = self.block(grid.dim, half + 1, True)
         if spectral._dense(fine // 2 + 1, x):
             spec = np.zeros((fine // 2 + 1,) * grid.dim, dtype=complex)
             spec[kept] = x[kept] * scale_in
-            self.check(into_spectrum, spectral._apply(into_spectrum, x), scipy.fft.dctn(spec, type=1))
-            spec[kept] = scipy.fft.dctn(np.flip(x), type=1)[kept] * (grid.dx / c) ** grid.dim * scale_in
-            self.check(into_physical, spectral._apply(into_physical, x), scipy.fft.dctn(spec, type=1))
+            self.check(into, spectral._apply(into, x), scipy.fft.dctn(spec, type=1))
         for cplx in (False, True):
             w = self.block(grid.dim, fine // 2 + 1, cplx)
             if not spectral._dense(fine // 2 + 1, w):
