@@ -110,6 +110,11 @@ class Grid:
         object.__setattr__(self, "extent", _require_real("extent", self.extent, positive=True))
         if type(self.points) is not int or self.points < 4 or self.points % 2:
             raise DomainError(f"points must be an even integer >= 4, got {self.points!r}")
+        # The generated hash, once: every cache keyed by the grid asks for it.
+        object.__setattr__(self, "_hash", hash((self.dim, self.extent, self.points)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def dx(self) -> float:
@@ -162,7 +167,8 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=None)
+# Four keys per grid, each 8 n^d bytes on a whole lattice (2 MiB at 64^3).
+@lru_cache(maxsize=8)
 def _mode_norm_sq(grid: Grid, space: bool, block: bool = False) -> np.ndarray:
     """Integer ``|m|^2`` over the lattice, or its ``[0, n/2]^d`` block, in
     physical storage order for ``x`` (``m`` from ``-n/2``) and FFT order for
@@ -186,11 +192,13 @@ def _radial(grid: Grid, fn, block: bool = False, space: bool = False) -> np.ndar
     return np.broadcast_to(fn(radii), radii.shape)[_mode_norm_sq(grid, space, block)]
 
 
-@lru_cache(maxsize=None)
+# A non-even run's coarse and padded grids, 8 n^d bytes each (16 MiB at 128^3).
+@lru_cache(maxsize=4)
 def _checkerboard(grid: Grid) -> np.ndarray:
-    """``(-1)^(j1+...+jd)``, converting FFT phases to box phases; it equals
-    ``(-1)^|m|^2`` in FFT order, as ``m_i = j_i`` mod 2."""
-    return _readonly(1.0 - 2.0 * (_mode_norm_sq(grid, False) % 2))
+    """``(-1)^(j1+...+jd)``, a product of one sign per axis, converting FFT
+    phases to box phases; it equals ``(-1)^|m|^2`` in FFT order (``m_i = j_i`` mod 2)."""
+    sign = 1.0 - 2.0 * (np.arange(grid.points) % 2)
+    return _readonly(math.prod(np.meshgrid(*([sign] * grid.dim), indexing="ij", sparse=True)))
 
 
 class Field:
@@ -230,7 +238,9 @@ class Field:
         shape = (grid.points // 2 + 1,) * grid.dim if even else grid.shape
         if arr.shape != shape:
             raise DomainError(f"samples shape {arr.shape} does not match grid {grid.shape}")
-        if not np.isfinite(arr if even else arr.view(np.float64)).all():
+        # One C pass; C-ordered samples allow the float64 view, twice as fast.
+        flat = arr if even else arr.view(np.float64)
+        if np.count_nonzero(np.isfinite(flat)) != flat.size:
             raise DomainError("field samples must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "grid", grid)
@@ -333,11 +343,13 @@ def _apply(op: tuple, x: np.ndarray) -> np.ndarray:
     one ``matmul`` per axis on the float64 view, whose (re, im) pairs stay put:
     a left product, a broadcast one on a 3d middle axis, a right one by ``op[1]``."""
     (a, pairs), cplx = op, x.dtype.kind == "c"
-    z = np.ascontiguousarray(x).view(np.float64) if cplx else x
-    z = (a @ z.reshape(a.shape[1], -1)).reshape((a.shape[0],) + z.shape[1:])
-    z = np.matmul(a, z) if x.ndim == 3 else z
-    z = z.reshape(-1, z.shape[-1]) @ (pairs if cplx else a.T)
-    return (z.view(np.complex128) if cplx else z).reshape((a.shape[0],) * x.ndim)
+    z, right = (np.ascontiguousarray(x).view(np.float64), pairs) if cplx else (x, a.T)
+    if x.ndim == 3:
+        z = (a @ z.reshape(a.shape[1], -1)).reshape((a.shape[0],) + z.shape[1:])
+        z = ((a @ z).reshape(-1, z.shape[-1]) @ right).reshape(a.shape[0], a.shape[0], -1)
+    else:
+        z = a @ z @ right
+    return z.view(np.complex128) if cplx else z
 
 
 @lru_cache(maxsize=None)
@@ -406,29 +418,28 @@ def _fold_weights(grid: Grid) -> np.ndarray:
 
 
 def _operands(*operands) -> tuple:
-    """``(weights, arrays)`` of fields and lattice functions ``op(block)``
+    """``(even, arrays)`` of fields and lattice functions ``op(block)``
     (:func:`_radial` with the grid and ``fn`` bound, or a cache of it) on
-    one grid: the blocks, the values on the block and :func:`_fold_weights`
-    if every field is even, else the samples, ``op(False)`` and ``None``."""
+    one grid: ``True``, the blocks and the values on the block if every
+    field is even, else ``False``, the samples and ``op(False)``."""
     for op in operands:
         if isinstance(op, Field) and op._even_block() is None:
-            return None, [o.samples if isinstance(o, Field) else o(False) for o in operands]
-    return _fold_weights(operands[0].grid), [
-        o._half if isinstance(o, Field) else o(True) for o in operands]
+            return False, [o.samples if isinstance(o, Field) else o(False) for o in operands]
+    return True, [o._half if isinstance(o, Field) else o(True) for o in operands]
 
 
 def _pointwise(fn, rep: str, *operands) -> Field:
     """The field ``fn(*arrays)`` in ``rep``, on the arrays of :func:`_operands`."""
-    weights, arrays = _operands(*operands)
-    grid, out = operands[0].grid, fn(*arrays)
-    return Field._adopt(grid, out, rep, even=weights is not None)
+    even, arrays = _operands(*operands)
+    return Field._adopt(operands[0].grid, fn(*arrays), rep, even)
 
 
 def _lattice_sum(fn, *operands) -> float:
-    """``fn(*arrays)`` summed over the lattice (see :func:`_operands`)."""
-    weights, arrays = _operands(*operands)
+    """``fn(*arrays)`` summed over the lattice, a block by :func:`_fold_weights`
+    (see :func:`_operands`)."""
+    even, arrays = _operands(*operands)
     values = fn(*arrays)
-    return float(np.sum(values if weights is None else weights * values))
+    return float(np.sum(_fold_weights(operands[0].grid) * values if even else values))
 
 
 def _lattice_max(fn, *operands) -> float:
@@ -440,7 +451,7 @@ def _forward(g: Grid, a: np.ndarray) -> np.ndarray:
     """The spectrum of samples ``a`` on ``g``, or of the ``[0, n/2]^d`` block
     ``a`` of an even field as its block: reversed, the block runs over x = 0..L/2
     from the box centre, so its DCT-I is the box-phase spectrum."""
-    if a.shape == g.shape:
+    if a.shape[0] == g.points:
         return _forward_scale(g) * (_checkerboard(g) * scipy.fft.fftn(a))
     if _dense(a.shape[0], a):
         return _apply(_even_ops(g)[0], a)
@@ -449,7 +460,7 @@ def _forward(g: Grid, a: np.ndarray) -> np.ndarray:
 
 def _inverse(g: Grid, a: np.ndarray) -> np.ndarray:
     """The inverse of :func:`_forward`, on samples or on a block alike."""
-    if a.shape == g.shape:
+    if a.shape[0] == g.points:
         return _inverse_scale(g) * scipy.fft.ifftn(_checkerboard(g) * a)
     if _dense(a.shape[0], a):
         return _apply(_even_ops(g)[1], a)
@@ -479,9 +490,9 @@ def _map_physical(f: Field, fn, *operands) -> Field:
     the rep of ``f``; a spectrum is inverted and transformed back as arrays."""
     if f.is_physical:
         return _pointwise(fn, PHYSICAL, f, *operands)
-    weights, (spec, *arrays) = _operands(f, *operands)
+    even, (spec, *arrays) = _operands(f, *operands)
     out = _forward(f.grid, fn(_inverse(f.grid, spec), *arrays))
-    return Field._adopt(f.grid, out, FREQUENCY, even=weights is not None)
+    return Field._adopt(f.grid, out, FREQUENCY, even)
 
 
 @lru_cache(maxsize=None)
@@ -520,12 +531,13 @@ def _padded_product(f: Field, factors: int, pointwise) -> Field:
         out = _inverse(g, prod)
         return Field._adopt(g, out.real if np.isrealobj(w) else out, PHYSICAL)
     side = fine.points // 2 + 1
-    if _dense(side, sector):
-        w = pointwise(_apply(_even_ops(g, factors)[0], sector))
-    else:
-        into = np.zeros((side,) * g.dim, complex)
-        into[padded] = sector[band] * (_inverse_scale(fine) / fine.size)
-        w = pointwise(scipy.fft.dctn(into, type=1, overwrite_x=True))
+    if _dense(side, sector):  # then the product's leg, real or complex, is dense too
+        way_in, way_out = _even_ops(g, factors)
+        w = pointwise(_apply(way_in, sector))
+        return Field._adopt(g, _apply(way_out, w), PHYSICAL, even=True)
+    into = np.zeros((side,) * g.dim, complex)
+    into[padded] = sector[band] * (_inverse_scale(fine) / fine.size)
+    w = pointwise(scipy.fft.dctn(into, type=1, overwrite_x=True))
     if _dense(side, w):
         return Field._adopt(g, _apply(_even_ops(g, factors)[1], w), PHYSICAL, even=True)
     prod = np.zeros((g.points // 2 + 1,) * g.dim, dtype=w.dtype)
@@ -554,7 +566,12 @@ def dealiased_modulus_power(f: Field, power: int) -> Field:
     """
     if power < 2 or power % 2:
         raise DomainError(f"power must be even and >= 2, got {power}")
-    return _padded_product(f, power, lambda u: (u.real**2 + u.imag**2) ** (power // 2))
+
+    def pointwise(u):
+        sq = u.real**2 + u.imag**2
+        return sq if power == 2 else sq ** (power // 2)  # ** 1 is a copy of the same bits
+
+    return _padded_product(f, power, pointwise)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
 """Public API: every exported name resolves, each submodule's exports are
-re-exported by the package, and removed names stay removed."""
+re-exported by the package, and removed names stay removed; every cache
+the package keeps has a bound or a named reason to have none."""
 
+import ast
 import importlib
+import pkgutil
 
 import pytest
 
@@ -45,3 +48,35 @@ def test_removed_names_are_gone(name):
 
 def test_grid_has_no_stock_constructor():
     assert not hasattr(nlsbox.Grid, "default")
+
+
+# Per-grid caches whose entries are block-sized, so a run's handful of grids
+# bounds them: the block path's operators per padding factor, the fold
+# weights, and the padded grid with its band.  Every other cache is bounded.
+UNBOUNDED_CACHES = {
+    "nlsbox.spectral._even_ops",
+    "nlsbox.spectral._fold_weights",
+    "nlsbox.spectral._padding",
+}
+
+
+def _is_cache(decorator) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", getattr(target, "attr", None)) in ("lru_cache", "cache")
+
+
+def test_every_cache_is_bounded_or_named():
+    found, decorated = {}, set()
+    for info in pkgutil.walk_packages(nlsbox.__path__, "nlsbox."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_parameters") and obj.__module__ == info.name:
+                found[f"{info.name}.{name}"] = obj.cache_parameters()["maxsize"]
+        with open(module.__file__) as fh:
+            tree = ast.parse(fh.read())
+        decorated |= {f"{info.name}.{node.name}" for node in ast.walk(tree)
+                      if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and any(_is_cache(d) for d in node.decorator_list)}
+    # Every cache decorator in the sources is a module-level cache found above.
+    assert decorated == set(found) and "nlsbox.spectral._checkerboard" in found
+    assert {name for name, maxsize in found.items() if maxsize is None} == UNBOUNDED_CACHES

@@ -1,8 +1,10 @@
 """Spectral core: transforms against direct-summation oracles, alias-free
 products against convolution oracles, radial data invariances, field IO."""
 
+import dataclasses
 import math
 import os
+import pickle
 import subprocess
 import sys
 from functools import partial
@@ -83,6 +85,23 @@ class TestGrid:
         with pytest.raises(DomainError, match="dim"):
             Grid(dim, 8.0, 32)
 
+    def test_hash_contract(self):
+        # The stored hash is the generated one, so equal grids hash equal
+        # however they were made; the grid stays a frozen three-field record.
+        g = Grid(2, 8.0, 32)
+        for other in (Grid(2, 8, 32), dataclasses.replace(Grid(2, 8.0, 64), points=32),
+                      pickle.loads(pickle.dumps(g))):
+            assert other == g and hash(other) == hash(g) == hash((2, 8.0, 32))
+            assert {g: "hit"}[other] == "hit"
+        moved = dataclasses.replace(g, extent=16.0)
+        assert moved != g and hash(moved) == hash((2, 16.0, 32))
+        for name in ("points", "_hash"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(g, name, 64)
+        assert hash(g) == hash((2, 8.0, 32)) and g.points == 32
+        assert repr(g) == "Grid(dim=2, extent=8.0, points=32)"
+        assert [f.name for f in dataclasses.fields(g)] == ["dim", "extent", "points"]
+
     def test_freq_axis_layout(self):
         g = Grid(2, 16.0, 16)
         xi = g.freq_axis()
@@ -128,6 +147,9 @@ class TestField:
         bad[3, 3] = np.nan
         with pytest.raises(DomainError):
             Field.physical(grid2d_small, bad)
+        bad[3, 3] = complex(1.0, -np.inf)  # finite real part
+        with pytest.raises(DomainError, match="finite"):
+            Field.physical(grid2d_small, bad)
         with pytest.raises(RepresentationError):
             Field(grid2d_small, np.ones(grid2d_small.shape), "spectral")
 
@@ -158,7 +180,8 @@ class TestField:
                 setattr(f, name, None)
         assert f._even_block().tobytes() == block.tobytes()
 
-    @pytest.mark.parametrize("case", ["nan", "inf", "full_shape", "short_axis", "wrong_dim"])
+    @pytest.mark.parametrize("case", ["nan", "inf", "nan_flipped", "full_shape", "short_axis",
+                                      "wrong_dim"])
     def test_block_constructor_validation(self, case):
         grid = Grid(2, 16.0, 64)
         block = np.ones((33, 33), dtype=complex)
@@ -166,6 +189,14 @@ class TestField:
             block[5, 32] = complex(1.0, np.nan)
         elif case == "inf":
             block[0, 0] = -np.inf
+        elif case == "nan_flipped":
+            # A reversed view, as the over-cap branch of a product adopts; the
+            # same view without the NaN is held as it is.
+            block = np.flip(block)
+            assert spectral.Field._adopt(grid, block, "physical", even=True)._half is block
+            block = np.flip(np.ones((33, 33), dtype=complex))
+            block[32, 5] = np.nan
+            assert not block.flags.c_contiguous
         else:
             block = np.ones({"full_shape": (64, 64), "short_axis": (33, 32),
                              "wrong_dim": (33, 33, 33)}[case], dtype=complex)
@@ -379,7 +410,9 @@ class TestEvenSector:
         forward, inverse = full_grid_transforms(grid)
         assert rel_error(forward_transform(u).samples, forward(u.samples)) <= 1e-12
         assert rel_error(inverse_transform(spec).samples, inverse(spec.samples)) <= 1e-12
-        for f in (u, spec):
+        # The spectrum, and physical samples that hold none: their products
+        # start from the forward transform.
+        for f in (spec, Field.physical(grid, u.samples)):
             got = dealiased_modulus_power(f, 4).samples
             want = full_grid_product(u.samples, 4, lambda w: np.abs(w) ** 4)
             assert rel_error(got, want) <= 1e-12
@@ -540,15 +573,17 @@ print("scipy.fft" in sys.modules)
                              ids=["32^2_dense", "128^2_dctn", "16^3_dense"])
     def test_held_blocks_stay_unchanged_and_read_only(self, grid):
         u = self.even_field(grid)
-        spec = u.as_frequency()
-        before = [f._half.tobytes() for f in (u, spec)]
+        spec, fresh = u.as_frequency(), Field.physical(grid, u.samples)
+        before = [f._half.tobytes() for f in (u, spec)] + [fresh.samples.tobytes()]
         forward_transform(u)
         inverse_transform(spec)
-        for f in (u, spec):
+        for f in (spec, fresh):  # fresh holds no spectrum: the forward transform first
             dealiased_modulus_power(f, 2)
             dealiased_power(f, 3)
-        assert [f._half.tobytes() for f in (u, spec)] == before
-        assert not u._half.flags.writeable and not spec._half.flags.writeable
+        assert [f._half.tobytes() for f in (u, spec)] + [fresh.samples.tobytes()] == before
+        assert fresh._half.tobytes() == u._half.tobytes()
+        for a in (u._half, spec._half, fresh.samples, fresh._half):
+            assert not a.flags.writeable
 
 
 class TestEvenOperators:
@@ -598,6 +633,27 @@ class TestEvenOperators:
             prod = np.zeros((half + 1,) * grid.dim, dtype=w.dtype)
             prod[kept] = scipy.fft.dctn(w, type=1)[kept] * (dxf / grid.dx / n) ** grid.dim
             self.check(out, spectral._apply(out, w), np.flip(scipy.fft.dctn(prod, type=1)))
+
+
+class TestLatticeCaches:
+    def test_full_lattice_caches_stay_bounded(self):
+        # Non-even products and full-lattice radii on more grids than the
+        # caches hold: each keeps its bound and still hits for the grid in use.
+        caches = (spectral._checkerboard, spectral._mode_norm_sq)
+        for cache in caches:
+            cache.cache_clear()
+        grids = [Grid(2, 8.0, n) for n in (8, 12, 16, 20, 24)] + [Grid(3, 4.0, 8), Grid(3, 4.0, 12)]
+        for grid in grids:
+            u = random_field(grid, seed=grid.points)
+            assert u._even_block() is None
+            dealiased_power(u, 3)
+            dealiased_modulus_power(u, 2)
+            tail_mass_fraction(u)
+            assert spectral._checkerboard(grid) is spectral._checkerboard(grid)
+        for cache in caches:
+            info = cache.cache_info()
+            assert info.maxsize is not None and info.misses > info.maxsize
+            assert info.currsize == info.maxsize
 
 
 class TestRadialData:
