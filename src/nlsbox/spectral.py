@@ -45,7 +45,9 @@ the padded grid too.
 Within ``2^18`` real multiply-adds per axis (:func:`_dense`), each leg of
 the block path is one cached real matrix per axis, flips, scales, zero
 padding and band truncation folded in (:func:`_even_ops`, :func:`_apply`);
-beyond, ``scipy.fft.dctn``, loaded like the full-grid FFTs on first use.
+beyond, ``scipy.fft``, loaded like the full-grid FFTs on first use: a
+transform is one ``dctn``, a padded leg one ``dct`` per axis on only the lines
+that carry data (:func:`_dct1_lines`; Bowman & Roberts, SIAM J. Sci. Comput. 2011).
 """
 
 from __future__ import annotations
@@ -535,16 +537,22 @@ def _padded_product(f: Field, factors: int, pointwise) -> Field:
         way_in, way_out = _even_ops(g, factors)
         w = pointwise(_apply(way_in, sector))
         return Field._adopt(g, _apply(way_out, w), PHYSICAL, even=True)
-    into = np.zeros((side,) * g.dim, complex)
-    into[padded] = sector[band] * (_inverse_scale(fine) / fine.size)
-    w = pointwise(scipy.fft.dctn(into, type=1, overwrite_x=True))
+    w = pointwise(_dct1_lines(sector[band] * (_inverse_scale(fine) / fine.size), side))
     if _dense(side, w):
         return Field._adopt(g, _apply(_even_ops(g, factors)[1], w), PHYSICAL, even=True)
-    prod = np.zeros((g.points // 2 + 1,) * g.dim, dtype=w.dtype)
-    scale_out = _forward_scale(fine) * _inverse_scale(g) / g.size
-    prod[band] = scale_out * scipy.fft.dctn(w, type=1, overwrite_x=True)[padded]
-    prod = np.flip(scipy.fft.dctn(prod, type=1, overwrite_x=True))
-    return Field._adopt(g, prod, PHYSICAL, even=True)
+    half, scale_out = g.points // 2, _forward_scale(fine) * _inverse_scale(g) / g.size
+    prod = _dct1_lines(scale_out * _dct1_lines(w, side, half), half + 1)
+    return Field._adopt(g, np.flip(prod), PHYSICAL, even=True)
+
+
+def _dct1_lines(x: np.ndarray, side: int, keep: int | None = None) -> np.ndarray:
+    """``scipy.fft.dctn(type=1)`` of ``x`` zero padded to ``side`` points per axis,
+    the first ``keep`` outputs kept per axis: one ``dct`` per axis in ``dctn``'s
+    order, so the same bits, with no line of padding or of cut outputs transformed."""
+    for axis in range(x.ndim):
+        x = scipy.fft.dct(x, type=1, n=side, axis=axis, overwrite_x=True)
+        x = x[(slice(None),) * axis + (slice(keep),)]
+    return x
 
 
 def dealiased_power(f: Field, degree: int) -> Field:

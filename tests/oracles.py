@@ -72,35 +72,46 @@ def reflect_conj(cube: np.ndarray) -> np.ndarray:
     return np.conj(cube[(slice(None, None, -1),) * cube.ndim])
 
 
-def convolve_cubes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full direct convolution; symmetric cubes stay symmetric."""
-    return scipy.signal.convolve(a, b, mode="full", method="direct")
+def convolve_cubes(a: np.ndarray, b: np.ndarray, reach: int | None = None) -> np.ndarray:
+    """Full direct convolution; symmetric cubes stay symmetric.
+
+    With ``reach``, for a caller that reads only the centre cube
+    ``[-reach, reach]^d``: if the outputs where ``b`` lies wholly inside
+    ``a`` (``mode="valid"``) cover it, only those are summed, each by the
+    same terms in the same order as the full convolution.
+    """
+    central = reach is not None and (a.shape[0] - b.shape[0]) // 2 >= reach
+    return scipy.signal.convolve(a, b, mode="valid" if central else "full", method="direct")
 
 
-def odd_power_coefficients(f: Field, degree: int, band: int | None = None) -> np.ndarray:
-    """Exact coefficients of ``|f|^(degree-1) f`` by repeated convolution."""
+def odd_power_coefficients(f: Field, degree: int, band: int | None = None,
+                           reach: int | None = None) -> np.ndarray:
+    """Exact coefficients of ``|f|^(degree-1) f`` by repeated convolution; with
+    ``reach``, at least the centre cube ``[-reach, reach]^d`` (see :func:`convolve_cubes`)."""
     k = (degree - 1) // 2
     cube = fourier_coefficients(f, band)
     flipped = reflect_conj(cube)
     out = cube
     for _ in range(k):
         out = convolve_cubes(out, cube)
-    for _ in range(k):
-        out = convolve_cubes(out, flipped)
+    for i in range(k):
+        out = convolve_cubes(out, flipped, reach if i == k - 1 else None)
     return out
 
 
-def modulus_power_coefficients(f: Field, power: int, band: int | None = None) -> np.ndarray:
+def modulus_power_coefficients(f: Field, power: int, band: int | None = None,
+                               reach: int | None = None) -> np.ndarray:
     """Exact coefficients of ``|f|^power`` (even ``power``) by repeated convolution
-    of the product band of ``f`` and of its conjugate."""
+    of the product band of ``f`` and of its conjugate; ``reach`` as for
+    :func:`odd_power_coefficients`."""
     k = power // 2
     cube = fourier_coefficients(f, band)
     flipped = reflect_conj(cube)
     out = flipped
     for _ in range(k - 1):
         out = convolve_cubes(out, flipped)
-    for _ in range(k):
-        out = convolve_cubes(out, cube)
+    for i in range(k):
+        out = convolve_cubes(out, cube, reach if i == k - 1 else None)
     return out
 
 
@@ -123,7 +134,7 @@ def coefficients_to_spectrum(band_coeffs: np.ndarray, grid: Grid) -> np.ndarray:
 
 def direct_odd_power_spectrum(f: Field, degree: int, band: int | None = None) -> np.ndarray:
     """Transform samples of the alias-free odd power, restricted to the product band."""
-    cube = odd_power_coefficients(f, degree, band)
+    cube = odd_power_coefficients(f, degree, band, reach=f.grid.points // 2)
     return coefficients_to_spectrum(band_restrict(cube, f.grid), f.grid)
 
 

@@ -48,6 +48,7 @@ from oracles import (
     direct_inverse,
     direct_odd_power_spectrum,
     modulus_power_coefficients,
+    odd_power_coefficients,
     random_field,
 )
 
@@ -352,10 +353,23 @@ class TestDealiasedProducts:
         w = dealiased_modulus_power(self.as_rep(f, rep), power)
         assert not w.samples.imag.any()
         impl = w.as_frequency().samples
-        cube = modulus_power_coefficients(f, power)
+        cube = modulus_power_coefficients(f, power, reach=grid.points // 2)
         oracle = coefficients_to_spectrum(band_restrict(cube, grid), grid)
         scale = np.abs(oracle).max()
         assert np.abs(impl - oracle).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("grid", [Grid(2, 16.0, 16), Grid(3, 6.0, 6)], ids=["2d", "3d"])
+    def test_band_restricted_oracles_are_the_full_convolution_bit_for_bit(self, grid):
+        # With reach n/2 the oracles' last convolution sums only the centre
+        # cube; it must be that cube of the full convolution, bit for bit.
+        f = random_field(grid, seed=12)
+        for oracle, factors in ((odd_power_coefficients, 3), (modulus_power_coefficients, 4)):
+            full = oracle(f, factors)
+            centre = oracle(f, factors, reach=grid.points // 2)
+            lo = (full.shape[0] - centre.shape[0]) // 2
+            assert lo > 0 and centre.shape[0] > grid.points
+            kept = full[(slice(lo, lo + centre.shape[0]),) * grid.dim]
+            assert np.array_equal(kept.view(np.uint64), centre.view(np.uint64))
 
     def test_modulus_power_constant_mode(self):
         grid = Grid(2, 16.0, 16)
@@ -423,8 +437,9 @@ class TestEvenSector:
     @staticmethod
     def transforms_called(monkeypatch, calls):
         # FFTs are logged by name, each dense operator application as
-        # ("dense", m, complex) with m the larger side of its matrix, and each
-        # scipy.fft.dctn call as ("dctn", m, complex).
+        # ("dense", m, complex) with m the larger side of its matrix, each
+        # scipy.fft.dctn call as ("dctn", m, complex) and each scipy.fft.dct
+        # call as ("dct", axis, n, complex).
         for name in ("fftn", "ifftn", "rfftn", "irfftn"):
             def counted(*args, _name=name, _fn=getattr(scipy.fft, name), **kwargs):
                 calls.append(_name)
@@ -435,11 +450,16 @@ class TestEvenSector:
             calls.append(("dctn", x.shape[0], np.iscomplexobj(x)))
             return _fn(x, *args, **kwargs)
 
+        def dct(x, *args, _fn=scipy.fft.dct, **kwargs):
+            calls.append(("dct", kwargs["axis"], kwargs["n"], np.iscomplexobj(x)))
+            return _fn(x, *args, **kwargs)
+
         def apply(op, x, _fn=spectral._apply):
             calls.append(("dense", max(op[0].shape), np.iscomplexobj(x)))
             return _fn(op, x)
 
         monkeypatch.setattr(scipy.fft, "dctn", dctn)
+        monkeypatch.setattr(scipy.fft, "dct", dct)
         monkeypatch.setattr(spectral, "_apply", apply)
 
     @pytest.mark.parametrize("grid,kind,path", [
@@ -476,13 +496,17 @@ class TestEvenSector:
         dealiased_modulus_power(spec, 2)
         dealiased_power(u, 3)
 
-        def leg(side, cplx, *fallback):
+        def leg(side, cplx, *fallback, padded=True):
             # A leg whose largest block has this side is one dense operator
             # exactly when one axis of that block's DCT-I is at most 2^18 real
-            # multiply-adds, complex twice; else it makes its dctn calls.
+            # multiply-adds, complex twice; else a transform makes one dctn
+            # call per block side in fallback, and a padded leg one dct call
+            # per axis, in dctn's axis order, for each.
             if (1 + cplx) * side ** (grid.dim + 1) <= 1 << 18:
                 return [("dense", side, cplx)]
-            return [("dctn", m, cplx) for m in fallback]
+            if not padded:
+                return [("dctn", m, cplx) for m in fallback]
+            return [("dct", axis, m, cplx) for m in fallback for axis in range(grid.dim)]
 
         m = grid.points // 2 + 1
         mf2, mf3 = (2 * -(-(factors + 1) * grid.points // 4) // 2 + 1 for factors in (2, 3))
@@ -499,9 +523,42 @@ class TestEvenSector:
         # The transforms take the path of the coarse block; |u|^2 of a
         # spectrum has a real product, |u|^2 u of physical samples starts
         # from their held spectrum and has a complex one.
-        assert calls == (leg(m, True, m) * 2 + leg(mf2, True, mf2) + leg(mf2, False, mf2, m)
-                         + leg(mf3, True, mf3) + leg(mf3, True, mf3, m))
+        assert calls == (leg(m, True, m, padded=False) * 2 + leg(mf2, True, mf2)
+                         + leg(mf2, False, mf2, m) + leg(mf3, True, mf3) + leg(mf3, True, mf3, m))
         assert calls[:2] == [(path, m, True)] * 2
+
+    @staticmethod
+    def dctn_product(f, factors, pointwise):
+        # The over-cap even product by whole-block dctn calls: the band of the
+        # spectrum's block zero filled to the padded block and transformed, the
+        # pointwise product transformed and truncated to the band, zero filled
+        # to the coarse block, transformed and flipped; scales as in spectral.
+        g, sector = f.grid, f.as_frequency()._even_block()
+        fine, band, _ = spectral._padding(g, factors, True)
+        into = np.zeros((fine.points // 2 + 1,) * g.dim, complex)
+        into[band] = sector[band] * (spectral._inverse_scale(fine) / fine.size)
+        w = pointwise(scipy.fft.dctn(into, type=1))
+        prod = np.zeros((g.points // 2 + 1,) * g.dim, w.dtype)
+        scale = spectral._forward_scale(fine) * spectral._inverse_scale(g) / g.size
+        prod[band] = scale * scipy.fft.dctn(w, type=1)[band]
+        return np.flip(scipy.fft.dctn(prod, type=1))
+
+    @pytest.mark.parametrize("grid", [Grid(2, 16.0, 128), Grid(2, 16.0, 256), Grid(3, 8.0, 40),
+                                      Grid(3, 8.0, 64)], ids=["128^2", "256^2", "40^3", "64^3"])
+    def test_over_cap_product_is_the_dctn_composition_bit_for_bit(self, grid):
+        # One dct per axis over the lines that carry data gives each line the
+        # input dctn gives it: the real way out of |u|^p and the complex one of
+        # |u|^(d-1) u match the zero-filled dctn composition exactly.
+        u = self.even_field(grid)
+        products = [(dealiased_modulus_power, p, lambda w, p=p: (w.real**2 + w.imag**2) ** (p // 2))
+                    for p in (2, 4)]
+        products += [(dealiased_power, d, lambda w, d=d: np.abs(w) ** (d - 1) * w) for d in (3, 5)]
+        for product, factors, pointwise in products:
+            side = spectral._padding(grid, factors, True)[0].points // 2 + 1
+            assert side ** (grid.dim + 1) > 1 << 18  # both padded legs are over the cap
+            got = product(u, factors)._half
+            want = np.asarray(self.dctn_product(u, factors, pointwise), np.complex128)
+            assert np.array_equal(*(np.ascontiguousarray(a).view(np.uint64) for a in (got, want)))
 
     def test_even_by_value_odd_by_sign_products_match_full_grid(self):
         # A radial field with one mirrored pair of zeros of opposite sign:
