@@ -114,7 +114,7 @@ def apply_symbol(f: Field, symbol: RadialSymbol) -> Field:
 
 
 # Symbol values per grid and block flag, tested when filled; the symbols of
-# i_operator_symbol and _sobolev_symbol, one object per parameter, hit.  An
+# i_operator_symbol and _sobolev_symbol (one per parameter) and a bank's hit.  An
 # entry is 8 n^d bytes for a real symbol (2 MiB at 64^3), 8 (n/2+1)^d on the block.
 @lru_cache(maxsize=16)
 def _symbol_values(grid: Grid, symbol: RadialSymbol, block: bool) -> np.ndarray:
@@ -139,6 +139,7 @@ class ProjectionBank:
     def __post_init__(self) -> None:
         if self.j_min > self.j_max:
             raise DomainError(f"empty dyadic range [{self.j_min}, {self.j_max}]")
+        object.__setattr__(self, "_symbols", {})  # per scale, so _symbol_values hits
 
     @classmethod
     def for_grid(cls, grid: Grid) -> "ProjectionBank":
@@ -154,7 +155,9 @@ class ProjectionBank:
     def symbol(self, j: int) -> RadialSymbol:
         if not self.j_min <= j <= self.j_max:
             raise DomainError(f"j={j} outside bank range [{self.j_min}, {self.j_max}]")
-        return RadialSymbol(f"lp_{j}", lambda r, j=j: self.phi(j, r), cutoff=None)
+        if j not in self._symbols:
+            self._symbols[j] = RadialSymbol(f"lp_{j}", partial(self.phi, j))
+        return self._symbols[j]
 
 
 def lp_project(f: Field, bank: ProjectionBank, j: int) -> Field:

@@ -128,6 +128,7 @@ def weighted_radial_sup(
     f: Field, weight_power: float, radius: float | None = None
 ) -> float:
     """``sup |x|^w |f(x)|`` over the lattice, or over its ball ``|x| <= radius``."""
+    weight_power = _require_real("weight_power", weight_power)
     radius = math.inf if radius is None else _require_real("radius", radius, positive=True)
 
     def weight(r: np.ndarray) -> np.ndarray:

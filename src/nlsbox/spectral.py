@@ -33,21 +33,21 @@ Hermitian; its samples keep their real part.
 
 Radial data are even in every axis, ``a[j] = a[n-j]`` in either storage
 order, and an even array is fixed by its ``[0, n/2]^d`` block, whose
-type-I DCT is the array's DFT.  A field is tested for evenness at most
-once; when it holds, that block is transformed on the coarse grid and on
-the padded grid alike, lattice sums fold onto it, and the symbols, masks
-and phases an operation is handed as functions are gathered on it alone
-(the phases and the Sobolev and smoothing symbols once per grid).  What
-is made from an even field or a radial profile holds only its block (see
-:class:`Field`), so a radial run stays on the block from step to step and
-is never tested again.  Only non-even input takes the full-grid FFTs, on
-the padded grid too.
+type-I DCT is the array's DFT.  A field's evenness is decided where it
+is made: the public constructor tests its samples once, and everything
+else is made knowing the answer (see :class:`Field`).  An even field's
+block is transformed on the coarse grid and on the padded grid alike,
+lattice sums fold onto it, and the symbols, masks and phases an operation
+is handed as functions are gathered on it alone (the phases and the
+Sobolev and smoothing symbols once per grid), so a radial run stays on
+the block from step to step.  Non-even input and all that is made from it
+take the full-grid FFTs, on the padded grid too.
 Within ``2^18`` real multiply-adds per axis (:func:`_dense`), each leg of
 the block path is one cached real matrix per axis, flips, scales, zero
 padding and band truncation folded in (:func:`_even_ops`, :func:`_apply`);
-beyond, ``scipy.fft``, loaded like the full-grid FFTs on first use: a
-transform is one ``dctn``, a padded leg one ``dct`` per axis on only the lines
-that carry data (:func:`_dct1_lines`; Bowman & Roberts, SIAM J. Sci. Comput. 2011).
+beyond, ``scipy.fft``, loaded like the full-grid FFTs on first use: every
+leg is one ``dct`` per axis, a padded one on only the lines that carry
+data (:func:`_dct1_lines`; Bowman & Roberts, SIAM J. Sci. Comput. 2011).
 """
 
 from __future__ import annotations
@@ -210,12 +210,12 @@ class Field:
     ``-L/2``); frequency samples are stored in FFT order matching
     :meth:`Grid.freq_axis`.
 
-    A field that the transforms, products, multipliers, phases, arithmetic,
-    :func:`read_field` or :func:`make_radial_data` make from even input (or
-    a radial profile) holds only its ``[0, n/2]^d`` block, and ``samples``
-    unfolds it (read-only) when first read.  A physical field keeps the
-    spectrum it was inverted from, or else its first :meth:`as_frequency`,
-    which is where its products start.
+    Evenness is decided where a field is made, never later: the constructor
+    holds the ``[0, n/2]^d`` block of even samples too (:func:`_sector`), and
+    what the package makes from even input or a radial profile holds only that
+    block, unfolded (read-only) into ``samples`` when first read.  A physical
+    field keeps the spectrum it was inverted from, or else its first
+    :meth:`as_frequency`, which is where its products start.
     """
 
     __slots__ = ("grid", "rep", "_samples", "_half", "_spectrum")
@@ -224,7 +224,7 @@ class Field:
         arr = np.asarray(samples, dtype=np.complex128, order="C")
         if arr is samples or arr.base is not None:  # the caller's buffer
             arr = arr.copy()
-        self._hold(grid, rep, arr, even=False)
+        self._hold(grid, rep, arr, even=None)
 
     @classmethod
     def _adopt(cls, grid: Grid, arr: np.ndarray, rep: str, even: bool = False) -> "Field":
@@ -234,7 +234,8 @@ class Field:
         f._hold(grid, rep, np.asarray(arr, dtype=np.complex128, order=None if even else "C"), even)
         return f
 
-    def _hold(self, grid: Grid, rep: str, arr: np.ndarray, even: bool) -> None:
+    def _hold(self, grid: Grid, rep: str, arr: np.ndarray, even: bool | None) -> None:
+        """Hold ``arr``, the block with ``even``, else the samples, tested if ``even`` is None."""
         if rep not in _REPS:
             raise RepresentationError(f"rep must be one of {_REPS}, got {rep!r}")
         shape = (grid.points // 2 + 1,) * grid.dim if even else grid.shape
@@ -248,7 +249,7 @@ class Field:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "rep", rep)
         object.__setattr__(self, "_samples", None if even else arr)
-        object.__setattr__(self, "_half", arr if even else None)
+        object.__setattr__(self, "_half", arr if even else None if even is False else _sector(arr))
         object.__setattr__(self, "_spectrum", None)
 
     def __setattr__(self, name, value):
@@ -259,13 +260,6 @@ class Field:
         if self._samples is None:
             object.__setattr__(self, "_samples", _readonly(_unfold(self._half, self.grid.points)))
         return self._samples
-
-    def _even_block(self) -> np.ndarray | None:
-        """:func:`_sector` of the samples, tested once; held blocks pass."""
-        if self._half is None:
-            block = _sector(self._samples)
-            object.__setattr__(self, "_half", False if block is None else block)
-        return None if self._half is False else self._half
 
     @classmethod
     def physical(cls, grid: Grid, samples: np.ndarray) -> "Field":
@@ -335,7 +329,7 @@ def _inverse_scale(g: Grid) -> float:
 def _dense(side: int, like: np.ndarray) -> bool:
     """Whether an axis of a ``side`` cube with the dim and dtype of ``like``
     costs at most ``2^18`` real multiply-adds, complex twice: OpenBLAS keeps
-    that ``gemm`` on one thread, where a dense DCT-I beats ``dctn`` 2-14x."""
+    that ``gemm`` on one thread, where a dense DCT-I beats scipy's 2-14x."""
     return (1 + (like.dtype.kind == "c")) * side ** (like.ndim + 1) <= 1 << 18
 
 
@@ -370,7 +364,7 @@ def _even_ops(g: Grid, factors: int = 0) -> tuple:
     c, step = dct1(g)
     mats = step * c[:, ::-1], c[::-1] / (step * g.points)
     if factors:
-        fine, half = _padding(g, factors, True)[0], g.points // 2
+        fine, half = _padding(g, factors)[0], g.points // 2
         (cf, step), inverse = dct1(fine), mats[1]
         spread = cf[:, :half] / (step * fine.points)
         mats = spread @ np.eye(half, half + 1), inverse[:, :half] @ (step * cf[:half])
@@ -425,7 +419,7 @@ def _operands(*operands) -> tuple:
     one grid: ``True``, the blocks and the values on the block if every
     field is even, else ``False``, the samples and ``op(False)``."""
     for op in operands:
-        if isinstance(op, Field) and op._even_block() is None:
+        if isinstance(op, Field) and op._half is None:
             return False, [o.samples if isinstance(o, Field) else o(False) for o in operands]
     return True, [o._half if isinstance(o, Field) else o(True) for o in operands]
 
@@ -457,7 +451,7 @@ def _forward(g: Grid, a: np.ndarray) -> np.ndarray:
         return _forward_scale(g) * (_checkerboard(g) * scipy.fft.fftn(a))
     if _dense(a.shape[0], a):
         return _apply(_even_ops(g)[0], a)
-    return scipy.fft.dctn(np.flip(a), type=1) * _forward_scale(g)
+    return _dct1_lines(np.flip(a), a.shape[0]) * _forward_scale(g)
 
 
 def _inverse(g: Grid, a: np.ndarray) -> np.ndarray:
@@ -466,7 +460,7 @@ def _inverse(g: Grid, a: np.ndarray) -> np.ndarray:
         return _inverse_scale(g) * scipy.fft.ifftn(_checkerboard(g) * a)
     if _dense(a.shape[0], a):
         return _apply(_even_ops(g)[1], a)
-    return np.flip(scipy.fft.dctn(a, type=1) * (_inverse_scale(g) / g.size))
+    return np.flip(_dct1_lines(a, a.shape[0]) * (_inverse_scale(g) / g.size))
 
 
 def forward_transform(f: Field) -> Field:
@@ -498,15 +492,11 @@ def _map_physical(f: Field, fn, *operands) -> Field:
 
 
 @lru_cache(maxsize=None)
-def _padding(grid: Grid, factors: int, even: bool) -> tuple:
+def _padding(grid: Grid, factors: int) -> tuple:
     """The padded grid of a ``factors``-fold product, and the band
-    ``[-n/2+1, n/2-1]`` as an index into the coarse and into the padded
-    spectrum, or with ``even`` into their ``[0, n/2]^d`` blocks."""
+    ``[-n/2+1, n/2-1]`` as an index into the coarse and into the padded spectrum."""
     half = grid.points // 2
     fine = Grid(grid.dim, grid.extent, 2 * -(-(factors + 1) * grid.points // 4))
-    if even:
-        kept = (slice(0, half),) * grid.dim
-        return fine, kept, kept
     return (fine,) + tuple(np.ix_(*[_readonly(np.r_[0:half, n - half + 1 : n])] * grid.dim)
                            for n in (grid.points, fine.points))
 
@@ -522,8 +512,7 @@ def _padded_product(f: Field, factors: int, pointwise) -> Field:
     product keeps the real part, so its samples are real.
     """
     g, spec = f.grid, f.as_frequency()
-    sector = spec._even_block()
-    fine, band, padded = _padding(g, factors, sector is not None)
+    (fine, band, padded), sector = _padding(g, factors), spec._half
     if sector is None:
         into = np.zeros(fine.shape, dtype=np.complex128)
         into[padded] = spec.samples[band]
@@ -532,25 +521,28 @@ def _padded_product(f: Field, factors: int, pointwise) -> Field:
         prod[band] = _forward(fine, w)[padded]
         out = _inverse(g, prod)
         return Field._adopt(g, out.real if np.isrealobj(w) else out, PHYSICAL)
-    side = fine.points // 2 + 1
+    side, half = fine.points // 2 + 1, g.points // 2
     if _dense(side, sector):  # then the product's leg, real or complex, is dense too
         way_in, way_out = _even_ops(g, factors)
         w = pointwise(_apply(way_in, sector))
         return Field._adopt(g, _apply(way_out, w), PHYSICAL, even=True)
-    w = pointwise(_dct1_lines(sector[band] * (_inverse_scale(fine) / fine.size), side))
+    kept = sector[(slice(half),) * g.dim]  # the band, [0, n/2) per axis of the block
+    w = pointwise(_dct1_lines(kept * (_inverse_scale(fine) / fine.size), side))
     if _dense(side, w):
         return Field._adopt(g, _apply(_even_ops(g, factors)[1], w), PHYSICAL, even=True)
-    half, scale_out = g.points // 2, _forward_scale(fine) * _inverse_scale(g) / g.size
-    prod = _dct1_lines(scale_out * _dct1_lines(w, side, half), half + 1)
+    scale_out = _forward_scale(fine) * _inverse_scale(g) / g.size
+    prod = _dct1_lines(scale_out * _dct1_lines(w, side, half, overwrite=True), half + 1)
     return Field._adopt(g, np.flip(prod), PHYSICAL, even=True)
 
 
-def _dct1_lines(x: np.ndarray, side: int, keep: int | None = None) -> np.ndarray:
-    """``scipy.fft.dctn(type=1)`` of ``x`` zero padded to ``side`` points per axis,
+def _dct1_lines(x: np.ndarray, side: int, keep: int | None = None,
+                overwrite: bool = False) -> np.ndarray:
+    """The ``dctn(type=1)`` of ``x`` zero padded to ``side`` points per axis,
     the first ``keep`` outputs kept per axis: one ``dct`` per axis in ``dctn``'s
-    order, so the same bits, with no line of padding or of cut outputs transformed."""
+    order, so the same bits, with no line of padding or of cut outputs transformed.
+    Only arrays made here are written over, and ``x`` with ``overwrite``."""
     for axis in range(x.ndim):
-        x = scipy.fft.dct(x, type=1, n=side, axis=axis, overwrite_x=True)
+        x = scipy.fft.dct(x, type=1, n=side, axis=axis, overwrite_x=overwrite or axis > 0)
         x = x[(slice(None),) * axis + (slice(keep),)]
     return x
 
@@ -678,8 +670,7 @@ def write_field(f: Field, path) -> None:
     from its rows unfolded by reflection; slab ``j > n/2`` is slab ``n-j``
     written again, which writes the same bytes.
     """
-    g = f.grid
-    block = f._even_block()
+    g, block = f.grid, f._half
     if block is not None:
         table = np.fromiter(_rows(block), dtype=object, count=block.size).reshape(block.shape)
         slabs = ["".join(_unfold(slab, g.points).flat) for slab in table]

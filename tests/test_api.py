@@ -50,9 +50,11 @@ def test_grid_has_no_stock_constructor():
     assert not hasattr(nlsbox.Grid, "default")
 
 
-# Per-grid caches whose entries are block-sized, so a run's handful of grids
-# bounds them: the block path's operators per padding factor, the fold
-# weights, and the padded grid with its band.  Every other cache is bounded.
+# Per-grid caches whose entries are block-sized or smaller, so a run's handful
+# of grids bounds them: the block path's operators per padding factor, the
+# fold weights, and the padded grid with the band's index arrays (n - 1
+# entries per axis of each grid; only the full-grid path reads them).  Every
+# other cache is bounded.
 UNBOUNDED_CACHES = {
     "nlsbox.spectral._even_ops",
     "nlsbox.spectral._fold_weights",

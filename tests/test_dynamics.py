@@ -265,7 +265,7 @@ class TestRepresentation:
 # 192^2) and a non-even field on the full-grid FFTs.
 STEP_PATHS = pytest.mark.parametrize("grid,even", [
     (Grid(2, 16.0, 32), True), (Grid(2, 16.0, 128), True), (Grid(2, 16.0, 32), False),
-], ids=["even_dense_32^2", "even_dctn_128^2", "non_even_32^2"])
+], ids=["even_dense_32^2", "even_over_cap_128^2", "non_even_32^2"])
 
 
 def _step_input(grid, even):

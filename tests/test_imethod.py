@@ -300,7 +300,7 @@ class TestCommutator:
     @pytest.mark.parametrize("band,warns", [(9, True), (3, False)])
     def test_non_even_warning_matches_full_lattice(self, band, warns):
         f = random_field(Grid(2, 16.0, 64), seed=4, band=band)
-        assert f.as_frequency()._even_block() is None
+        assert f.as_frequency()._half is None
         frac = self.full_lattice_fraction(f, 1)
         assert (frac > 1e-4) is warns
         with warnings.catch_warnings(record=True) as caught:

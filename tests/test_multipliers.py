@@ -27,6 +27,7 @@ from nlsbox import (
     smooth_cutoff,
     sobolev_norm,
 )
+from nlsbox import multipliers
 from nlsbox.multipliers import _sobolev_symbol
 from oracles import random_field
 
@@ -124,6 +125,28 @@ class TestProjectionBank:
         assert abs(residual[0, 0] - spec[0, 0]) <= 1e-12 * np.abs(spec).max()
         residual[0, 0] = 0.0
         assert np.abs(residual).max() <= 1e-12 * np.abs(spec).max()
+
+    def test_bank_holds_one_symbol_per_scale(self, monkeypatch):
+        # Repeated projections on one bank evaluate the cutoff once per scale;
+        # an equal bank holds symbols of its own, so it evaluates them again.
+        grid = Grid(2, 16.0, 32)
+        f = random_field(grid, seed=3).as_frequency()
+        calls = []
+
+        def counted(r, _fn=multipliers.smooth_cutoff):
+            calls.append(np.shape(r))
+            return _fn(r)
+
+        monkeypatch.setattr(multipliers, "smooth_cutoff", counted)
+        bank = ProjectionBank.for_grid(grid)
+        first = [lp_project(f, bank, j).samples for j in (0, 1)]
+        assert len(calls) == 4  # two cutoffs per scale
+        for _ in range(3):
+            again = [lp_project(f, bank, j).samples for j in (0, 1)]
+            assert [a.tobytes() for a in again] == [a.tobytes() for a in first]
+        assert len(calls) == 4 and bank.symbol(1) is bank.symbol(1)
+        lp_project(f, ProjectionBank.for_grid(grid), 0)
+        assert len(calls) == 6
 
     def test_j_range_enforced(self):
         grid = Grid(2, 32.0, 64)
@@ -224,7 +247,7 @@ class TestSmoothingSymbol:
         grid = Grid(2, 16.0, 64)
         f = make_radial_data(grid, RadialProfile("gaussian", 1.0, 1.0)) if even else random_field(
             grid, seed=2)
-        assert (f._even_block() is not None) == even
+        assert (f._half is not None) == even
         evaluations = []
 
         def fn(r):

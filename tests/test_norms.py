@@ -239,6 +239,14 @@ class TestWeightedRadialSup:
         with pytest.raises(DomainError, match="radius"):
             weighted_radial_sup(gaussian(grid2d_medium), 1.0, radius)
 
+    @pytest.mark.parametrize("power", [math.nan, math.inf, True, 10**400, "1", None],
+                             ids=["nan", "inf", "True", "10^400", "str", "None"])
+    def test_weight_power_validation(self, grid2d_medium, power):
+        # NaN once returned nan, True was taken as 1, and 10**400 and "1"
+        # raised OverflowError and TypeError from the weight.
+        with pytest.raises(DomainError, match="weight_power"):
+            weighted_radial_sup(gaussian(grid2d_medium), power)
+
 
 class TestAdmissibility:
     @pytest.mark.parametrize("p,q,dim,ok", [

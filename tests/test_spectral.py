@@ -179,7 +179,7 @@ class TestField:
         for name in ("samples", "rep", "_half", "_spectrum"):
             with pytest.raises(AttributeError):
                 setattr(f, name, None)
-        assert f._even_block().tobytes() == block.tobytes()
+        assert f._half.tobytes() == block.tobytes()
 
     @pytest.mark.parametrize("case", ["nan", "inf", "nan_flipped", "full_shape", "short_axis",
                                       "wrong_dim"])
@@ -406,8 +406,8 @@ def full_grid_product(u: np.ndarray, factors: int, pointwise) -> np.ndarray:
 
 class TestEvenSector:
     """Even data take type-I DCTs of the ``[0, n/2]^d`` block, by dense
-    matrices on small blocks and by ``scipy.fft.dctn`` on larger ones; the
-    results must agree with the full-grid FFTs to rounding."""
+    matrices on small blocks and by one ``scipy.fft.dct`` per axis on larger
+    ones; the results must agree with the full-grid FFTs to rounding."""
 
     @staticmethod
     def even_field(grid):
@@ -417,7 +417,7 @@ class TestEvenSector:
 
     @pytest.mark.parametrize("grid", [Grid(2, 16.0, 64), Grid(3, 8.0, 16), Grid(2, 16.0, 32),
                                       Grid(2, 16.0, 128)],
-                             ids=["2d", "3d", "32^2", "128^2_dctn"])
+                             ids=["2d", "3d", "32^2", "128^2_over_cap"])
     def test_sector_matches_full_grid_fft(self, grid):
         u = self.even_field(grid)
         spec = u.as_frequency()
@@ -438,8 +438,8 @@ class TestEvenSector:
     def transforms_called(monkeypatch, calls):
         # FFTs are logged by name, each dense operator application as
         # ("dense", m, complex) with m the larger side of its matrix, each
-        # scipy.fft.dctn call as ("dctn", m, complex) and each scipy.fft.dct
-        # call as ("dct", axis, n, complex).
+        # scipy.fft.dctn call as ("dctn", m, complex) (none is made) and each
+        # scipy.fft.dct call as ("dct", axis, n, complex).
         for name in ("fftn", "ifftn", "rfftn", "irfftn"):
             def counted(*args, _name=name, _fn=getattr(scipy.fft, name), **kwargs):
                 calls.append(_name)
@@ -466,8 +466,8 @@ class TestEvenSector:
         (Grid(2, 16.0, 64), "radial", "dense"),
         (Grid(3, 8.0, 16), "radial", "dense"),
         (Grid(2, 16.0, 32), "radial", "dense"),
-        (Grid(2, 16.0, 128), "radial", "dctn"),
-        (Grid(3, 8.0, 40), "radial", "dctn"),
+        (Grid(2, 16.0, 128), "radial", "dct"),
+        (Grid(3, 8.0, 40), "radial", "dct"),
         (Grid(2, 16.0, 64), "random", "fft"),
         (Grid(2, 16.0, 64), "signed_zero", "fft"),
         (Grid(2, 16.0, 32), "radial_sector_off", "fft"),
@@ -475,9 +475,9 @@ class TestEvenSector:
             "random_64^2", "even_by_value_odd_by_sign_64^2", "radial_32^2_sector_off"])
     def test_path_taken(self, monkeypatch, grid, kind, path):
         if kind == "signed_zero":
-            # Even by value only, so its transforms and the product of the
-            # same samples as a spectrum take the full grid; the spectrum of
-            # the physical samples is even bit for bit.
+            # Even by value only, so its transforms and both products take
+            # the full grid: the spectrum of the physical samples is even bit
+            # for bit, but it is made from the full grid and never tested.
             samples = TestSerialization.even_by_value_odd_by_sign().samples
             u, spec = Field.physical(grid, samples), Field.frequency(grid, samples)
         elif kind == "radial_sector_off":
@@ -496,16 +496,13 @@ class TestEvenSector:
         dealiased_modulus_power(spec, 2)
         dealiased_power(u, 3)
 
-        def leg(side, cplx, *fallback, padded=True):
+        def leg(side, cplx, *fallback):
             # A leg whose largest block has this side is one dense operator
             # exactly when one axis of that block's DCT-I is at most 2^18 real
-            # multiply-adds, complex twice; else a transform makes one dctn
-            # call per block side in fallback, and a padded leg one dct call
-            # per axis, in dctn's axis order, for each.
+            # multiply-adds, complex twice; else it makes, for each block side
+            # in fallback, one dct call per axis in dctn's axis order.
             if (1 + cplx) * side ** (grid.dim + 1) <= 1 << 18:
                 return [("dense", side, cplx)]
-            if not padded:
-                return [("dctn", m, cplx) for m in fallback]
             return [("dct", axis, m, cplx) for m in fallback for axis in range(grid.dim)]
 
         m = grid.points // 2 + 1
@@ -515,17 +512,16 @@ class TestEvenSector:
         full = ["ifftn", "fftn", "ifftn"]
         if path == "fft":
             # Both products start from the spectrum, which u holds; the
-            # signed-zero u has none yet, and the block of its spectrum is
-            # the way in.
-            cube = ["fftn"] + leg(mf3, True, mf3) + leg(mf3, True, mf3, m)
-            assert calls == ["fftn", "ifftn"] + full + (cube if kind == "signed_zero" else full)
+            # signed-zero u has none yet, so its forward transform comes first.
+            assert calls == ["fftn", "ifftn"] + full + ["fftn"] * (kind == "signed_zero") + full
             return
         # The transforms take the path of the coarse block; |u|^2 of a
         # spectrum has a real product, |u|^2 u of physical samples starts
         # from their held spectrum and has a complex one.
-        assert calls == (leg(m, True, m, padded=False) * 2 + leg(mf2, True, mf2)
+        assert calls == (leg(m, True, m) * 2 + leg(mf2, True, mf2)
                          + leg(mf2, False, mf2, m) + leg(mf3, True, mf3) + leg(mf3, True, mf3, m))
-        assert calls[:2] == [(path, m, True)] * 2
+        first = [(path, m, True)] if path == "dense" else [(path, a, m, True) for a in range(grid.dim)]
+        assert calls[: 2 * len(first)] == first * 2
 
     @staticmethod
     def dctn_product(f, factors, pointwise):
@@ -533,8 +529,8 @@ class TestEvenSector:
         # spectrum's block zero filled to the padded block and transformed, the
         # pointwise product transformed and truncated to the band, zero filled
         # to the coarse block, transformed and flipped; scales as in spectral.
-        g, sector = f.grid, f.as_frequency()._even_block()
-        fine, band, _ = spectral._padding(g, factors, True)
+        g, sector = f.grid, f.as_frequency()._half
+        fine, band = spectral._padding(g, factors)[0], (slice(0, g.points // 2),) * g.dim
         into = np.zeros((fine.points // 2 + 1,) * g.dim, complex)
         into[band] = sector[band] * (spectral._inverse_scale(fine) / fine.size)
         w = pointwise(scipy.fft.dctn(into, type=1))
@@ -548,17 +544,51 @@ class TestEvenSector:
     def test_over_cap_product_is_the_dctn_composition_bit_for_bit(self, grid):
         # One dct per axis over the lines that carry data gives each line the
         # input dctn gives it: the real way out of |u|^p and the complex one of
-        # |u|^(d-1) u match the zero-filled dctn composition exactly.
+        # |u|^(d-1) u match the zero-filled dctn composition exactly, and the
+        # transforms of a held block match one dctn each.
         u = self.even_field(grid)
+        spec = u.as_frequency()
+
+        def bits(a):
+            return np.ascontiguousarray(a).view(np.uint64)
+
+        want = scipy.fft.dctn(np.flip(u._half), type=1) * spectral._forward_scale(grid)
+        assert np.array_equal(bits(spectral._forward(grid, u._half)), bits(want))
+        scale = spectral._inverse_scale(grid) / grid.size
+        want = np.flip(scipy.fft.dctn(spec._half, type=1) * scale)
+        assert np.array_equal(bits(spectral._inverse(grid, spec._half)), bits(want))
         products = [(dealiased_modulus_power, p, lambda w, p=p: (w.real**2 + w.imag**2) ** (p // 2))
                     for p in (2, 4)]
         products += [(dealiased_power, d, lambda w, d=d: np.abs(w) ** (d - 1) * w) for d in (3, 5)]
         for product, factors, pointwise in products:
-            side = spectral._padding(grid, factors, True)[0].points // 2 + 1
+            side = spectral._padding(grid, factors)[0].points // 2 + 1
             assert side ** (grid.dim + 1) > 1 << 18  # both padded legs are over the cap
             got = product(u, factors)._half
             want = np.asarray(self.dctn_product(u, factors, pointwise), np.complex128)
-            assert np.array_equal(*(np.ascontiguousarray(a).view(np.uint64) for a in (got, want)))
+            assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("grid", [Grid(2, 16.0, 32), Grid(2, 16.0, 64), Grid(2, 16.0, 128)],
+                             ids=["32^2", "64^2", "128^2"])
+    def test_evenness_is_decided_where_a_field_is_made(self, monkeypatch, grid):
+        # The public constructor tests its samples once and holds the block
+        # of even ones; nothing made from the full grid is tested again, so a
+        # non-even step makes no test at all (lazy tests made 2 per step from
+        # a spectrum and 5 from physical samples).
+        tested = []
+
+        def sector(a, _fn=spectral._sector):
+            tested.append(a.shape)
+            return _fn(a)
+
+        radial, rough = self.even_field(grid).samples, random_field(grid, seed=5)
+        monkeypatch.setattr(spectral, "_sector", sector)
+        f = Field.physical(grid, radial)
+        assert tested == [grid.shape] and not f._half.flags.writeable
+        assert f._half.tobytes() == self.even_field(grid)._half.tobytes()
+        tested.clear()
+        dynamics.strang_step(rough.as_frequency(), EvolutionParams(2, 1, 0.01, 0.01))
+        dynamics.strang_step(rough, EvolutionParams(2, 1, 0.01, 0.01))
+        assert tested == []
 
     def test_even_by_value_odd_by_sign_products_match_full_grid(self):
         # A radial field with one mirrored pair of zeros of opposite sign:
@@ -568,7 +598,7 @@ class TestEvenSector:
         samples = self.even_field(grid).samples.copy()
         samples[3, 0], samples[61, 0] = 0.0, -0.0
         for f in (Field.physical(grid, samples), Field.frequency(grid, samples)):
-            assert f._even_block() is None
+            assert f._half is None
             u = f.as_physical().samples
             got = dealiased_modulus_power(f, 4).samples
             assert rel_error(got, full_grid_product(u, 4, lambda w: np.abs(w) ** 4)) <= 1e-12
@@ -626,8 +656,9 @@ print("scipy.fft" in sys.modules)
         # Not loaded by the radial run; loaded by the first non-even transform.
         assert run.stdout.split() == ["3", "True", "True", "False", "True"]
 
-    @pytest.mark.parametrize("grid", [Grid(2, 16.0, 32), Grid(2, 16.0, 128), Grid(3, 8.0, 16)],
-                             ids=["32^2_dense", "128^2_dctn", "16^3_dense"])
+    @pytest.mark.parametrize("grid", [Grid(2, 16.0, 32), Grid(2, 16.0, 128), Grid(3, 8.0, 16),
+                                      Grid(3, 8.0, 40)],
+                             ids=["32^2_dense", "128^2_over_cap", "16^3_dense", "40^3_over_cap"])
     def test_held_blocks_stay_unchanged_and_read_only(self, grid):
         u = self.even_field(grid)
         spec, fresh = u.as_frequency(), Field.physical(grid, u.samples)
@@ -702,7 +733,7 @@ class TestLatticeCaches:
         grids = [Grid(2, 8.0, n) for n in (8, 12, 16, 20, 24)] + [Grid(3, 4.0, 8), Grid(3, 4.0, 12)]
         for grid in grids:
             u = random_field(grid, seed=grid.points)
-            assert u._even_block() is None
+            assert u._half is None
             dealiased_power(u, 3)
             dealiased_modulus_power(u, 2)
             tail_mass_fraction(u)
@@ -858,7 +889,7 @@ class TestTailMass:
             assert f._samples is None and f.as_frequency()._samples is None
         else:
             f = random_field(grid, seed=8)
-            assert f._even_block() is None
+            assert f._half is None
         box, spectral_tail = tail_mass_fraction(f), dynamics._tail_fraction(f)
 
         def fraction(a, mask):
@@ -986,7 +1017,7 @@ class TestSerialization:
         write_field(f, tmp_path / "block.field")
         monkeypatch.setattr(spectral, "_sector", lambda a: None)
         full = Field(grid, f.samples, rep)
-        assert full._even_block() is None
+        assert full._half is None
         write_field(full, tmp_path / "full.field")
         monkeypatch.undo()
         assert (tmp_path / "block.field").read_bytes() == (tmp_path / "full.field").read_bytes()
