@@ -45,9 +45,10 @@ take the full-grid FFTs, on the padded grid too.
 Within ``2^18`` real multiply-adds per axis (:func:`_dense`), each leg of
 the block path is one cached real matrix per axis, flips, scales, zero
 padding and band truncation folded in (:func:`_even_ops`, :func:`_apply`);
-beyond, ``scipy.fft``, loaded like the full-grid FFTs on first use: every
-leg is one ``dct`` per axis, a padded one on only the lines that carry
-data (:func:`_dct1_lines`; Bowman & Roberts, SIAM J. Sci. Comput. 2011).
+beyond, ``scipy.fft``, loaded like the full-grid FFTs on first use: a
+transform is one ``dctn``, a padded leg one ``dct`` per axis on only the
+lines that carry data (:func:`_dct1_lines`; Bowman & Roberts, SIAM J. Sci.
+Comput. 2011).
 """
 
 from __future__ import annotations
@@ -451,7 +452,7 @@ def _forward(g: Grid, a: np.ndarray) -> np.ndarray:
         return _forward_scale(g) * (_checkerboard(g) * scipy.fft.fftn(a))
     if _dense(a.shape[0], a):
         return _apply(_even_ops(g)[0], a)
-    return _dct1_lines(np.flip(a), a.shape[0]) * _forward_scale(g)
+    return scipy.fft.dctn(np.flip(a), type=1) * _forward_scale(g)
 
 
 def _inverse(g: Grid, a: np.ndarray) -> np.ndarray:
@@ -460,7 +461,7 @@ def _inverse(g: Grid, a: np.ndarray) -> np.ndarray:
         return _inverse_scale(g) * scipy.fft.ifftn(_checkerboard(g) * a)
     if _dense(a.shape[0], a):
         return _apply(_even_ops(g)[1], a)
-    return np.flip(_dct1_lines(a, a.shape[0]) * (_inverse_scale(g) / g.size))
+    return np.flip(scipy.fft.dctn(a, type=1) * (_inverse_scale(g) / g.size))
 
 
 def forward_transform(f: Field) -> Field:
@@ -531,18 +532,17 @@ def _padded_product(f: Field, factors: int, pointwise) -> Field:
     if _dense(side, w):
         return Field._adopt(g, _apply(_even_ops(g, factors)[1], w), PHYSICAL, even=True)
     scale_out = _forward_scale(fine) * _inverse_scale(g) / g.size
-    prod = _dct1_lines(scale_out * _dct1_lines(w, side, half, overwrite=True), half + 1)
+    prod = _dct1_lines(scale_out * _dct1_lines(w, side, half), half + 1)
     return Field._adopt(g, np.flip(prod), PHYSICAL, even=True)
 
 
-def _dct1_lines(x: np.ndarray, side: int, keep: int | None = None,
-                overwrite: bool = False) -> np.ndarray:
-    """The ``dctn(type=1)`` of ``x`` zero padded to ``side`` points per axis,
+def _dct1_lines(x: np.ndarray, side: int, keep: int | None = None) -> np.ndarray:
+    """``scipy.fft.dctn(type=1)`` of ``x`` zero padded to ``side`` points per axis,
     the first ``keep`` outputs kept per axis: one ``dct`` per axis in ``dctn``'s
     order, so the same bits, with no line of padding or of cut outputs transformed.
-    Only arrays made here are written over, and ``x`` with ``overwrite``."""
+    ``x`` may be written over."""
     for axis in range(x.ndim):
-        x = scipy.fft.dct(x, type=1, n=side, axis=axis, overwrite_x=overwrite or axis > 0)
+        x = scipy.fft.dct(x, type=1, n=side, axis=axis, overwrite_x=True)
         x = x[(slice(None),) * axis + (slice(keep),)]
     return x
 

@@ -406,8 +406,8 @@ def full_grid_product(u: np.ndarray, factors: int, pointwise) -> np.ndarray:
 
 class TestEvenSector:
     """Even data take type-I DCTs of the ``[0, n/2]^d`` block, by dense
-    matrices on small blocks and by one ``scipy.fft.dct`` per axis on larger
-    ones; the results must agree with the full-grid FFTs to rounding."""
+    matrices on small blocks and by ``scipy.fft`` on larger ones; the
+    results must agree with the full-grid FFTs to rounding."""
 
     @staticmethod
     def even_field(grid):
@@ -438,8 +438,8 @@ class TestEvenSector:
     def transforms_called(monkeypatch, calls):
         # FFTs are logged by name, each dense operator application as
         # ("dense", m, complex) with m the larger side of its matrix, each
-        # scipy.fft.dctn call as ("dctn", m, complex) (none is made) and each
-        # scipy.fft.dct call as ("dct", axis, n, complex).
+        # scipy.fft.dctn call as ("dctn", m, complex) and each scipy.fft.dct
+        # call as ("dct", axis, n, complex).
         for name in ("fftn", "ifftn", "rfftn", "irfftn"):
             def counted(*args, _name=name, _fn=getattr(scipy.fft, name), **kwargs):
                 calls.append(_name)
@@ -466,8 +466,8 @@ class TestEvenSector:
         (Grid(2, 16.0, 64), "radial", "dense"),
         (Grid(3, 8.0, 16), "radial", "dense"),
         (Grid(2, 16.0, 32), "radial", "dense"),
-        (Grid(2, 16.0, 128), "radial", "dct"),
-        (Grid(3, 8.0, 40), "radial", "dct"),
+        (Grid(2, 16.0, 128), "radial", "dctn"),
+        (Grid(3, 8.0, 40), "radial", "dctn"),
         (Grid(2, 16.0, 64), "random", "fft"),
         (Grid(2, 16.0, 64), "signed_zero", "fft"),
         (Grid(2, 16.0, 32), "radial_sector_off", "fft"),
@@ -496,13 +496,16 @@ class TestEvenSector:
         dealiased_modulus_power(spec, 2)
         dealiased_power(u, 3)
 
-        def leg(side, cplx, *fallback):
+        def leg(side, cplx, *fallback, padded=True):
             # A leg whose largest block has this side is one dense operator
             # exactly when one axis of that block's DCT-I is at most 2^18 real
-            # multiply-adds, complex twice; else it makes, for each block side
-            # in fallback, one dct call per axis in dctn's axis order.
+            # multiply-adds, complex twice; else a transform makes one dctn
+            # call per block side in fallback, and a padded leg one dct call
+            # per axis, in dctn's axis order, for each.
             if (1 + cplx) * side ** (grid.dim + 1) <= 1 << 18:
                 return [("dense", side, cplx)]
+            if not padded:
+                return [("dctn", m, cplx) for m in fallback]
             return [("dct", axis, m, cplx) for m in fallback for axis in range(grid.dim)]
 
         m = grid.points // 2 + 1
@@ -518,10 +521,9 @@ class TestEvenSector:
         # The transforms take the path of the coarse block; |u|^2 of a
         # spectrum has a real product, |u|^2 u of physical samples starts
         # from their held spectrum and has a complex one.
-        assert calls == (leg(m, True, m) * 2 + leg(mf2, True, mf2)
+        assert calls == (leg(m, True, m, padded=False) * 2 + leg(mf2, True, mf2)
                          + leg(mf2, False, mf2, m) + leg(mf3, True, mf3) + leg(mf3, True, mf3, m))
-        first = [(path, m, True)] if path == "dense" else [(path, a, m, True) for a in range(grid.dim)]
-        assert calls[: 2 * len(first)] == first * 2
+        assert calls[:2] == [(path, m, True)] * 2
 
     @staticmethod
     def dctn_product(f, factors, pointwise):
@@ -545,7 +547,7 @@ class TestEvenSector:
         # One dct per axis over the lines that carry data gives each line the
         # input dctn gives it: the real way out of |u|^p and the complex one of
         # |u|^(d-1) u match the zero-filled dctn composition exactly, and the
-        # transforms of a held block match one dctn each.
+        # transforms of a held block, read-only, are one dctn each.
         u = self.even_field(grid)
         spec = u.as_frequency()
 
