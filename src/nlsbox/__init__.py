@@ -2,129 +2,19 @@
 frequency multipliers, norm diagnostics, and almost-conservation
 measurements for frequency-truncated energies."""
 
-from .errors import (
-    ConfigError,
-    DomainError,
-    InstabilityError,
-    NlsboxError,
-    RepresentationError,
-    ResolutionError,
-    UndersamplingWarning,
-)
-from .spectral import (
-    Field,
-    Grid,
-    RadialProfile,
-    dealiased_modulus_power,
-    dealiased_power,
-    forward_transform,
-    inverse_transform,
-    make_radial_data,
-    read_field,
-    tail_mass_fraction,
-    write_field,
-)
-from .multipliers import (
-    ProjectionBank,
-    RadialSymbol,
-    apply_symbol,
-    fractional_derivative,
-    high_pass,
-    i_operator_symbol,
-    low_pass,
-    lp_project,
-    smooth_cutoff,
-)
-from .dynamics import (
-    EvolutionParams,
-    Trajectory,
-    energy,
-    evolve,
-    linear_flow,
-    mass,
-    nonlinear_phase,
-    read_checkpoint,
-    strang_step,
-    write_checkpoint,
-)
-from .norms import (
-    DiagnosticSeries,
-    MixedNormSpec,
-    lebesgue_norm,
-    mixed_norm,
-    morawetz_quantity,
-    sobolev_norm,
-    strichartz_admissible,
-    weighted_radial_sup,
-)
-from .imethod import (
-    IMethodConfig,
-    IncrementLedger,
-    commutator,
-    critical_exponent,
-    increment_ledger,
-    modified_energy,
-    rescale,
-    scattering_diagnostic,
-    vanishing_constant,
-)
+from .errors import *
+from .spectral import *
+from .multipliers import *
+from .dynamics import *
+from .norms import *
+from .imethod import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigError",
-    "DiagnosticSeries",
-    "DomainError",
-    "EvolutionParams",
-    "Field",
-    "Grid",
-    "IMethodConfig",
-    "IncrementLedger",
-    "MixedNormSpec",
-    "InstabilityError",
-    "NlsboxError",
-    "ProjectionBank",
-    "RadialProfile",
-    "RadialSymbol",
-    "RepresentationError",
-    "ResolutionError",
-    "Trajectory",
-    "UndersamplingWarning",
-    "apply_symbol",
-    "commutator",
-    "critical_exponent",
-    "dealiased_modulus_power",
-    "dealiased_power",
-    "energy",
-    "evolve",
-    "forward_transform",
-    "fractional_derivative",
-    "high_pass",
-    "i_operator_symbol",
-    "increment_ledger",
-    "inverse_transform",
-    "lebesgue_norm",
-    "linear_flow",
-    "low_pass",
-    "lp_project",
-    "make_radial_data",
-    "mass",
-    "mixed_norm",
-    "modified_energy",
-    "morawetz_quantity",
-    "nonlinear_phase",
-    "read_checkpoint",
-    "read_field",
-    "rescale",
-    "scattering_diagnostic",
-    "smooth_cutoff",
-    "sobolev_norm",
-    "strang_step",
-    "strichartz_admissible",
-    "tail_mass_fraction",
-    "vanishing_constant",
-    "weighted_radial_sup",
-    "write_checkpoint",
-    "write_field",
-    "__version__",
-]
+__all__ = ["__version__"]
+__all__ += errors.__all__
+__all__ += spectral.__all__
+__all__ += multipliers.__all__
+__all__ += dynamics.__all__
+__all__ += norms.__all__
+__all__ += imethod.__all__

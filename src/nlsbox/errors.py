@@ -7,6 +7,7 @@ matching.
 
 from __future__ import annotations
 
+import numbers
 import sys
 
 __all__ = [
@@ -55,6 +56,13 @@ def _require_dim(dim) -> int:
     return dim
 
 
+def _require_integer(name: str, value) -> int:
+    """``value`` if it is an integer, numpy's included; booleans are rejected."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _require_count(name: str, value) -> int:
     """``value`` if it is a positive integer; booleans are rejected."""
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
@@ -70,9 +78,9 @@ def _require_equation(dim, k) -> None:
 
 
 def _require_exponent(name: str, value) -> None:
-    """A Lebesgue exponent, at least 1 (``inf`` included, NaN rejected)."""
-    if not value >= 1.0:  # false for NaN, too
-        raise DomainError(f"{name} must be >= 1, got {value!r}")
+    """A Lebesgue exponent: a real number >= 1, ``inf`` included, NaN and booleans not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value >= 1.0:
+        raise DomainError(f"{name} must be a number >= 1, got {value!r}")
 
 
 def _require_same_dim(what: str, dim: int, requested: int) -> None:

@@ -1,18 +1,12 @@
 """Configured studies, their reports, and the command line front end."""
 
-from .config import STUDY_NAMES, StudyConfig, load_config
-from .corpus import morawetz_families, radial_corpus
-from .reports import StudyReport, write_report
-from .studies import STUDIES, run_study
+from .config import *
+from .corpus import *
+from .reports import *
+from .studies import *
 
-__all__ = [
-    "STUDIES",
-    "STUDY_NAMES",
-    "StudyConfig",
-    "StudyReport",
-    "load_config",
-    "morawetz_families",
-    "radial_corpus",
-    "run_study",
-    "write_report",
-]
+__all__ = []
+__all__ += config.__all__
+__all__ += corpus.__all__
+__all__ += reports.__all__
+__all__ += studies.__all__

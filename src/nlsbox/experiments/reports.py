@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-__all__ = ["StudyReport", "atomic_write_text", "stage_csv", "write_report", "write_rows"]
+__all__ = ["StudyReport", "write_report"]
 
 
 @dataclass(frozen=True)

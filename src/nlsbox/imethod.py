@@ -30,7 +30,7 @@ from .errors import (
 )
 from .multipliers import apply_symbol, i_operator_symbol
 from .norms import DiagnosticSeries, sobolev_norm
-from .spectral import PHYSICAL, Field, Grid, _mass_fraction, _radial, dealiased_power
+from .spectral import PHYSICAL, Field, Grid, _mass_fraction, _operands, _radial, dealiased_power
 
 __all__ = [
     "IMethodConfig",
@@ -105,9 +105,8 @@ def rescale(f: Field, lam: float, k: int) -> Field:
     g = f.grid
     _require_equation(g.dim, k)
     alpha = 1.0 if g.dim == 3 else 1.0 / k
-    scaled_grid = Grid(g.dim, g.extent / lam, g.points)
-    samples = lam**alpha * f.as_physical().samples
-    return Field(scaled_grid, samples, PHYSICAL)
+    even, (held,) = _operands(f.as_physical())  # the block of an even field stays one
+    return Field._adopt(Grid(g.dim, g.extent / lam, g.points), lam**alpha * held, PHYSICAL, even)
 
 
 def commutator(f: Field, cfg: IMethodConfig) -> Field:

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ResolutionError, _require_real
+from .errors import DomainError, ResolutionError, _require_integer, _require_real
 from .spectral import Field, Grid, _map_spectrum, _radial, _readonly
 
 __all__ = [
@@ -137,7 +137,7 @@ class ProjectionBank:
     j_max: int
 
     def __post_init__(self) -> None:
-        if self.j_min > self.j_max:
+        if _require_integer("j_min", self.j_min) > _require_integer("j_max", self.j_max):
             raise DomainError(f"empty dyadic range [{self.j_min}, {self.j_max}]")
         object.__setattr__(self, "_symbols", {})  # per scale, so _symbol_values hits
 
@@ -153,7 +153,7 @@ class ProjectionBank:
         return smooth_cutoff(np.ldexp(r, -j)) - smooth_cutoff(np.ldexp(r, -j + 1))
 
     def symbol(self, j: int) -> RadialSymbol:
-        if not self.j_min <= j <= self.j_max:
+        if not self.j_min <= _require_integer("j", j) <= self.j_max:
             raise DomainError(f"j={j} outside bank range [{self.j_min}, {self.j_max}]")
         if j not in self._symbols:
             self._symbols[j] = RadialSymbol(f"lp_{j}", partial(self.phi, j))

@@ -42,9 +42,10 @@ is handed as functions are gathered on it alone (the phases and the
 Sobolev and smoothing symbols once per grid), so a radial run stays on
 the block from step to step.  Non-even input and all that is made from it
 take the full-grid FFTs, on the padded grid too.
-Within ``2^18`` real multiply-adds per axis (:func:`_dense`), each leg of
-the block path is one cached real matrix per axis, flips, scales, zero
-padding and band truncation folded in (:func:`_even_ops`, :func:`_apply`);
+Where an axis of a leg's complex block costs at most ``2^18`` real
+multiply-adds, each leg of the block path is one cached real matrix per
+axis, flips, scales, zero padding and band truncation folded in
+(:func:`_even_ops`, which alone picks the engine, and :func:`_apply`);
 beyond, ``scipy.fft``, loaded like the full-grid FFTs on first use: a
 transform is one ``dctn``, a padded leg one ``dct`` per axis on only the
 lines that carry data (:func:`_dct1_lines`; Bowman & Roberts, SIAM J. Sci.
@@ -67,6 +68,7 @@ from .errors import (
     RepresentationError,
     ResolutionError,
     _require_dim,
+    _require_integer,
     _require_real,
 )
 
@@ -327,13 +329,6 @@ def _inverse_scale(g: Grid) -> float:
     return (math.sqrt(2.0 * math.pi) / g.dx) ** g.dim
 
 
-def _dense(side: int, like: np.ndarray) -> bool:
-    """Whether an axis of a ``side`` cube with the dim and dtype of ``like``
-    costs at most ``2^18`` real multiply-adds, complex twice: OpenBLAS keeps
-    that ``gemm`` on one thread, where a dense DCT-I beats scipy's 2-14x."""
-    return (1 + (like.dtype.kind == "c")) * side ** (like.ndim + 1) <= 1 << 18
-
-
 def _apply(op: tuple, x: np.ndarray) -> np.ndarray:
     """The matrix ``a`` of ``op = (a, kron(a.T, I2))``, square or not, along
     every axis of a float64 or complex128 cubic block, fresh and C-ordered, by
@@ -350,12 +345,22 @@ def _apply(op: tuple, x: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _even_ops(g: Grid, factors: int = 0) -> tuple:
+def _even_ops(g: Grid, factors: int = 0) -> tuple | None:
     """The block path's legs as read-only :func:`_apply` operators, scales in:
     :func:`_forward` and :func:`_inverse`, scipy's DCT-I with columns or rows
     reversed; with ``factors``, a :func:`_padded_product`'s way in, the band
     of a spectrum's block to the padded inverse ``Af[:, :n/2]``, and its way
-    out, band truncation, inverse and flip as one ``(n/2+1) x (nf/2+1)`` matrix."""
+    out, band truncation, inverse and flip as one ``(n/2+1) x (nf/2+1)`` matrix.
+
+    ``None``, for scipy, where one axis of the leg's complex block, of side
+    ``m = n/2+1`` (on the padded grid with ``factors``), costs ``2 m^(d+1)``
+    real multiply-adds, over ``2^18``: up to that OpenBLAS keeps the ``gemm``
+    on one thread, where a dense DCT-I beats scipy's 2-14x.  A real product
+    takes its spectrum's engine both ways."""
+    fine = _padding(g, factors)[0] if factors else g
+    if 2 * (fine.points // 2 + 1) ** (g.dim + 1) > 1 << 18:
+        return None
+
     def dct1(grid):  # scipy's DCT-I of the block, angles reduced exactly; dx / sqrt(2 pi)
         j = np.arange(grid.points // 2 + 1)
         t = np.cos(np.pi * (np.outer(j, j) % grid.points) / (grid.points // 2))
@@ -365,8 +370,7 @@ def _even_ops(g: Grid, factors: int = 0) -> tuple:
     c, step = dct1(g)
     mats = step * c[:, ::-1], c[::-1] / (step * g.points)
     if factors:
-        fine, half = _padding(g, factors)[0], g.points // 2
-        (cf, step), inverse = dct1(fine), mats[1]
+        (cf, step), inverse, half = dct1(fine), mats[1], g.points // 2
         spread = cf[:, :half] / (step * fine.points)
         mats = spread @ np.eye(half, half + 1), inverse[:, :half] @ (step * cf[:half])
     return tuple((_readonly(a), _readonly(np.kron(a.T, np.eye(2)))) for a in mats)
@@ -450,8 +454,8 @@ def _forward(g: Grid, a: np.ndarray) -> np.ndarray:
     from the box centre, so its DCT-I is the box-phase spectrum."""
     if a.shape[0] == g.points:
         return _forward_scale(g) * (_checkerboard(g) * scipy.fft.fftn(a))
-    if _dense(a.shape[0], a):
-        return _apply(_even_ops(g)[0], a)
+    if ops := _even_ops(g):
+        return _apply(ops[0], a)
     return scipy.fft.dctn(np.flip(a), type=1) * _forward_scale(g)
 
 
@@ -459,8 +463,8 @@ def _inverse(g: Grid, a: np.ndarray) -> np.ndarray:
     """The inverse of :func:`_forward`, on samples or on a block alike."""
     if a.shape[0] == g.points:
         return _inverse_scale(g) * scipy.fft.ifftn(_checkerboard(g) * a)
-    if _dense(a.shape[0], a):
-        return _apply(_even_ops(g)[1], a)
+    if ops := _even_ops(g):
+        return _apply(ops[1], a)
     return np.flip(scipy.fft.dctn(a, type=1) * (_inverse_scale(g) / g.size))
 
 
@@ -522,15 +526,12 @@ def _padded_product(f: Field, factors: int, pointwise) -> Field:
         prod[band] = _forward(fine, w)[padded]
         out = _inverse(g, prod)
         return Field._adopt(g, out.real if np.isrealobj(w) else out, PHYSICAL)
+    if ops := _even_ops(g, factors):
+        w = pointwise(_apply(ops[0], sector))
+        return Field._adopt(g, _apply(ops[1], w), PHYSICAL, even=True)
     side, half = fine.points // 2 + 1, g.points // 2
-    if _dense(side, sector):  # then the product's leg, real or complex, is dense too
-        way_in, way_out = _even_ops(g, factors)
-        w = pointwise(_apply(way_in, sector))
-        return Field._adopt(g, _apply(way_out, w), PHYSICAL, even=True)
     kept = sector[(slice(half),) * g.dim]  # the band, [0, n/2) per axis of the block
     w = pointwise(_dct1_lines(kept * (_inverse_scale(fine) / fine.size), side))
-    if _dense(side, w):
-        return Field._adopt(g, _apply(_even_ops(g, factors)[1], w), PHYSICAL, even=True)
     scale_out = _forward_scale(fine) * _inverse_scale(g) / g.size
     prod = _dct1_lines(scale_out * _dct1_lines(w, side, half), half + 1)
     return Field._adopt(g, np.flip(prod), PHYSICAL, even=True)
@@ -580,7 +581,8 @@ class RadialProfile:
 
     ``kind`` is one of ``gaussian``, ``smooth_bump``,
     ``random_radial_superposition``; the last one draws its shape from a
-    counter-based Philox stream keyed by ``seed``.
+    counter-based Philox stream keyed by ``seed``, ``None`` or an integer
+    in ``[0, 2^128)``.
     """
 
     kind: str
@@ -596,6 +598,8 @@ class RadialProfile:
         for name, positive in (("amplitude", False), ("width", True)):
             value = _require_real(name, getattr(self, name), positive)
             object.__setattr__(self, name, value)
+        if self.seed is not None and not 0 <= _require_integer("seed", self.seed) < 1 << 128:
+            raise DomainError(f"seed must lie in [0, 2**128), got {self.seed!r}")
 
 
 def make_radial_data(grid: Grid, profile: RadialProfile) -> Field:

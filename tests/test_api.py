@@ -1,6 +1,7 @@
-"""Public API: every exported name resolves, each submodule's exports are
-re-exported by the package, and removed names stay removed; every cache
-the package keeps has a bound or a named reason to have none."""
+"""Public API: every exported name resolves, each package's ``__all__`` is
+its star-imported modules' ``__all__`` (and ``__version__``), and removed
+names stay removed; every cache the package keeps has a bound or a named
+reason to have none."""
 
 import ast
 import importlib
@@ -11,6 +12,8 @@ import pytest
 import nlsbox
 
 SUBMODULES = ("spectral", "multipliers", "dynamics", "norms", "imethod", "errors")
+EXPERIMENT_MODULES = ("experiments.config", "experiments.corpus", "experiments.reports",
+                      "experiments.studies")
 
 
 def test_every_exported_name_resolves():
@@ -19,10 +22,26 @@ def test_every_exported_name_resolves():
     assert len(set(nlsbox.__all__)) == len(nlsbox.__all__)
 
 
-@pytest.mark.parametrize("module", SUBMODULES)
+def star_imported(package) -> list:
+    """The modules ``package`` re-exports by ``from .module import *``."""
+    with open(package.__file__) as fh:
+        tree = ast.parse(fh.read())
+    return [importlib.import_module(f"{package.__name__}.{node.module}") for node in tree.body
+            if isinstance(node, ast.ImportFrom) and [a.name for a in node.names] == ["*"]]
+
+
+@pytest.mark.parametrize("module", SUBMODULES + EXPERIMENT_MODULES)
 def test_submodule_exports_are_reexported(module):
-    exported = importlib.import_module(f"nlsbox.{module}").__all__
-    assert sorted(set(exported) - set(nlsbox.__all__)) == []
+    # The package's __all__ is the union of its star-imported modules'
+    # __all__, which each of them defines, plus the version.
+    package = importlib.import_module(f"nlsbox.{module}".rpartition(".")[0])
+    sources = star_imported(package)
+    assert [m.__name__ for m in sources].count(f"nlsbox.{module}") == 1
+    assert all(isinstance(vars(m).get("__all__"), list) for m in sources)
+    union = {name for m in sources for name in m.__all__}
+    extra = {"__version__"} if package is nlsbox else set()
+    assert sorted(package.__all__) == sorted(union | extra)
+    assert len(set(package.__all__)) == len(package.__all__)
 
 
 @pytest.mark.parametrize(

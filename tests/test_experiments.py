@@ -607,6 +607,14 @@ class TestCli:
         assert code == 3
         assert "rogue" in capsys.readouterr().err
 
+    def test_out_of_range_seed_exit_code(self, tmp_path, capsys):
+        # A config seed whose corpus keys pass 2^128 is a bad config value.
+        text = INEQ_2D_TEXT.replace("seed = 2", f"seed = {(1 << 128) - 1}")
+        config = write_config(tmp_path / "a.ini", text)
+        code = main(["inequalities", "--config", config, "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "error: seed must lie in [0, 2**128)" in capsys.readouterr().err
+
     def test_mismatched_subcommand(self, tmp_path, capsys):
         config = write_config(tmp_path / "a.ini", CONSERVE_TEXT)
         code = main(["scatter", "--config", config, "--out", str(tmp_path / "out")])

@@ -185,6 +185,19 @@ class TestRescale:
         assert energy(g, k) == pytest.approx(lam ** (2.0 / k) * energy(f, k), rel=1e-13)
         assert mass(g) == pytest.approx(mass(f) / lam, rel=1e-13)
 
+    def test_even_field_keeps_its_block(self, monkeypatch):
+        # The block is scaled as it is held: nothing is unfolded or tested,
+        # and the samples are the bits of scaling every sample.
+        grid = Grid(2, 16.0, 64)
+        f, lam, k = gaussian(grid, 1.3, 2.0), 0.5, 2
+        want = lam ** (1.0 / k) * f.samples
+        f = gaussian(grid, 1.3, 2.0)
+        monkeypatch.setattr(spectral, "_sector", lambda a: pytest.fail("evenness tested"))
+        g = rescale(f, lam, k)
+        assert f._samples is None and g._samples is None
+        assert g.grid == Grid(2, 32.0, 64) and not g._half.flags.writeable
+        assert g.samples.tobytes() == want.tobytes()
+
     def test_rejects_general_factors(self):
         grid = Grid(2, 16.0, 16)
         f = random_field(grid, seed=1)

@@ -96,6 +96,18 @@ class TestProjectionBank:
             inside = (r > 2.0 ** (j - 0.5)) & (r < 2.0 ** (j + 0.5))
             assert phi[inside].max() > 0.5
 
+    @pytest.mark.parametrize("bad", [1.5, True, "1", None], ids=["float", "bool", "str", "none"])
+    def test_scales_must_be_integers(self, bad):
+        # Scales are integers, checked where they are given, not in np.ldexp.
+        with pytest.raises(DomainError, match="j_min"):
+            ProjectionBank(bad, 3)
+        with pytest.raises(DomainError, match="j_max"):
+            ProjectionBank(-1, bad)
+        f = random_field(Grid(2, 8.0, 16), seed=1)
+        with pytest.raises(DomainError, match="j must"):
+            lp_project(f, ProjectionBank(-1, 3), bad)
+        assert lp_project(f, ProjectionBank(-1, 3), np.int64(1)).grid == f.grid
+
     def test_orthogonality_of_separated_pieces(self):
         bank = ProjectionBank(-2, 6)
         r = np.linspace(0.0, 100.0, 5001)

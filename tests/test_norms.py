@@ -60,6 +60,18 @@ class TestLebesgue:
         with pytest.raises(DomainError):
             lebesgue_norm(gaussian(grid2d_medium), 0.5)
 
+    @pytest.mark.parametrize("p", [True, "2", None, 2 + 0j], ids=["bool", "str", "none", "complex"])
+    def test_non_real_exponent_rejected(self, grid2d_medium, p):
+        # An exponent is a real number; a bool is not one, though Python adds it as 0 or 1.
+        f = gaussian(grid2d_medium)
+        with pytest.raises(DomainError, match="p must"):
+            lebesgue_norm(f, p)
+        with pytest.raises(DomainError, match="q_space must"):
+            MixedNormSpec(4.0, p, 0.0, 1.0)
+        with pytest.raises(DomainError, match="q must"):
+            strichartz_admissible(4.0, p, 2)
+        assert lebesgue_norm(f, np.int64(2)) == lebesgue_norm(f, 2.0)
+
     def test_nan_exponent_rejected(self, grid2d_medium):
         f = gaussian(grid2d_medium)
         with pytest.raises(DomainError):

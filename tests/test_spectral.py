@@ -498,11 +498,12 @@ class TestEvenSector:
 
         def leg(side, cplx, *fallback, padded=True):
             # A leg whose largest block has this side is one dense operator
-            # exactly when one axis of that block's DCT-I is at most 2^18 real
-            # multiply-adds, complex twice; else a transform makes one dctn
-            # call per block side in fallback, and a padded leg one dct call
-            # per axis, in dctn's axis order, for each.
-            if (1 + cplx) * side ** (grid.dim + 1) <= 1 << 18:
+            # exactly when one axis of that block's complex DCT-I is at most
+            # 2^18 real multiply-adds (a real product's way out takes its way
+            # in's engine); else a transform makes one dctn call per block side
+            # in fallback, and a padded leg one dct call per axis, in dctn's
+            # axis order, for each.
+            if 2 * side ** (grid.dim + 1) <= 1 << 18:
                 return [("dense", side, cplx)]
             if not padded:
                 return [("dctn", m, cplx) for m in fallback]
@@ -569,6 +570,16 @@ class TestEvenSector:
             want = np.asarray(self.dctn_product(u, factors, pointwise), np.complex128)
             assert np.array_equal(bits(got), bits(want))
 
+    def test_real_product_takes_its_spectrum_engine(self):
+        # |u|^4 at 16^3 pads to side 21, over the 3d cap of 19: the real way
+        # out takes scipy like the complex way in, with the dctn composition's bits.
+        grid = Grid(3, 8.0, 16)
+        u = self.even_field(grid)
+        got = dealiased_modulus_power(u, 4)._half
+        want = self.dctn_product(u, 4, lambda w: (w.real**2 + w.imag**2) ** 2)
+        assert np.array_equal(got.view(np.uint64), np.asarray(want, np.complex128).view(np.uint64))
+        assert spectral._even_ops(grid, 4) is None and spectral._even_ops(grid, 2) is not None
+
     @pytest.mark.parametrize("grid", [Grid(2, 16.0, 32), Grid(2, 16.0, 64), Grid(2, 16.0, 128)],
                              ids=["32^2", "64^2", "128^2"])
     def test_evenness_is_decided_where_a_field_is_made(self, monkeypatch, grid):
@@ -610,9 +621,8 @@ class TestEvenSector:
     @pytest.mark.parametrize("dim", [2, 3], ids=["2d", "3d"])
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["real", "complex"])
     def test_dense_dct1_matches_dctn(self, monkeypatch, dim, dtype):
-        # The largest dense sides: (1 + complex) * m^(dim+1) <= 2^18.
-        largest = {(2, np.float64): 64, (2, np.complex128): 50,
-                   (3, np.float64): 22, (3, np.complex128): 19}[dim, dtype]
+        # The largest dense sides: 2 * m^(dim+1) <= 2^18, real blocks too.
+        largest = {2: 50, 3: 19}[dim]
         sides = range(3, largest + 1)
         rng = np.random.default_rng(dim)
         blocks = [rng.standard_normal((m,) * dim) for m in sides]
@@ -634,9 +644,11 @@ class TestEvenSector:
             assert x.tobytes() == before.tobytes() and not np.shares_memory(got, x)
             assert got.dtype == ref.dtype and got.flags.c_contiguous and got.flags.writeable
             assert rel_error(got, ref) <= 1e-14
-        # Every side here is admitted, and one side more is not.
-        assert all(spectral._dense(m, x) for m, x in zip(sides, blocks))
-        assert not spectral._dense(largest + 1, blocks[-1])
+        # _even_ops admits the largest side, on 98^2 or 36^3, and not the
+        # next even grid, 100^2 or 38^3.
+        points = 2 * largest - 2
+        assert spectral._even_ops(Grid(dim, 16.0, points)) is not None
+        assert spectral._even_ops(Grid(dim, 16.0, points + 2)) is None
 
     def test_radial_run_within_the_cap_never_loads_scipy_fft(self):
         # A fresh interpreter: the test process has scipy.fft loaded already.
@@ -710,16 +722,17 @@ class TestEvenOperators:
         fine = 2 * -(-(factors + 1) * n // 4)
         dxf, kept = grid.extent / fine, (slice(0, half),) * grid.dim
         scale_in = (c / dxf / fine) ** grid.dim
-        into, out = spectral._even_ops(grid, factors)
+        ops = spectral._even_ops(grid, factors)
+        if (grid.dim, factors) == (3, 4):  # padded side 21, over the 3d cap of 19
+            assert ops is None
+            return
+        into, out = ops
         x = self.block(grid.dim, half + 1, True)
-        if spectral._dense(fine // 2 + 1, x):
-            spec = np.zeros((fine // 2 + 1,) * grid.dim, dtype=complex)
-            spec[kept] = x[kept] * scale_in
-            self.check(into, spectral._apply(into, x), scipy.fft.dctn(spec, type=1))
+        spec = np.zeros((fine // 2 + 1,) * grid.dim, dtype=complex)
+        spec[kept] = x[kept] * scale_in
+        self.check(into, spectral._apply(into, x), scipy.fft.dctn(spec, type=1))
         for cplx in (False, True):
             w = self.block(grid.dim, fine // 2 + 1, cplx)
-            if not spectral._dense(fine // 2 + 1, w):
-                continue
             prod = np.zeros((half + 1,) * grid.dim, dtype=w.dtype)
             prod[kept] = scipy.fft.dctn(w, type=1)[kept] * (dxf / grid.dx / n) ** grid.dim
             self.check(out, spectral._apply(out, w), np.flip(scipy.fft.dctn(prod, type=1)))
@@ -831,6 +844,12 @@ class TestRadialData:
         for amplitude in (math.nan, -math.inf, False, "1"):
             with pytest.raises(DomainError, match="amplitude"):
                 RadialProfile("gaussian", amplitude, 1.0)
+        # A Philox key is an integer in [0, 2^128); nothing else keys data.
+        for seed in (True, 1.5, "3", [1], -1, 1 << 128):
+            with pytest.raises(DomainError, match="seed"):
+                RadialProfile("random_radial_superposition", 1.0, 2.0, seed)
+        assert RadialProfile("gaussian", seed=(1 << 128) - 1).seed == (1 << 128) - 1
+        assert RadialProfile("gaussian", seed=np.int64(3)).seed == 3
 
     def test_superposition_deterministic(self, grid2d_medium):
         p = RadialProfile("random_radial_superposition", 1.0, 2.0, 99)
