@@ -7,8 +7,8 @@ matching.
 
 from __future__ import annotations
 
+import math
 import numbers
-import sys
 
 __all__ = [
     "NlsboxError",
@@ -98,14 +98,15 @@ def _require_increasing(name: str, values) -> None:
 def _require_real(name: str, value, positive: bool = False) -> float:
     """``value`` as a float, if it is a finite real number (and positive if asked).
 
-    Booleans are rejected even though Python counts them as integers, and
-    so are integers too large for a float.
+    Plain ints and floats, else any ``numbers.Real`` (an ABC test, slower);
+    booleans are rejected, and so are integers too large for a float.
     """
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not abs(value) <= sys.float_info.max  # false for NaN, too
-    ):
+    real = isinstance(value, (int, float, numbers.Real)) and not isinstance(value, bool)
+    try:
+        finite = real and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
         raise DomainError(f"{name} must be a finite number, got {value!r}")
     if positive and not value > 0:
         raise DomainError(f"{name} must be positive, got {value!r}")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from ..dynamics import EvolutionParams
 from ..errors import ConfigError, DomainError, _require_count, _require_increasing
 from ..spectral import Grid, RadialProfile
+from .corpus import _SEED_STRIDE, member_seed
 
 __all__ = ["STUDY_NAMES", "StudyConfig", "load_config"]
 
@@ -165,6 +166,12 @@ def load_config(path) -> StudyConfig:
     }
 
     seed = values["study"]["seed"]
+    # Corpus keys are member_seed(seed, index), the largest at count - 1 (morawetz: 2).
+    last = values["corpus"]["count"] - 1 if "corpus" in values else {"morawetz": 2}.get(name)
+    if last is not None and member_seed(seed, last) >> 128:
+        limit = ((1 << 128) - 1 - last) // _SEED_STRIDE
+        raise ConfigError(f"[study] seed = {seed}: must be at most {limit}, "
+                          "so that its corpus keys stay below 2**128")
     grid = _build(values, "grid", Grid)
     fields: dict = {"name": name, "seed": seed, "grid": grid}
     if "evolution" in values:

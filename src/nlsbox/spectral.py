@@ -42,10 +42,11 @@ is handed as functions are gathered on it alone (the phases and the
 Sobolev and smoothing symbols once per grid), so a radial run stays on
 the block from step to step.  Non-even input and all that is made from it
 take the full-grid FFTs, on the padded grid too.
-Where an axis of a leg's complex block costs at most ``2^18`` real
-multiply-adds, each leg of the block path is one cached real matrix per
-axis, flips, scales, zero padding and band truncation folded in
-(:func:`_even_ops`, which alone picks the engine, and :func:`_apply`);
+Up to a measured block side per dimension (``_DENSE_SIDE``: 50 in 2d, 57
+in 3d, where the slice products of :func:`_apply` stay on one OpenBLAS
+thread and beat scipy), each leg of the block path is one cached real
+matrix per axis, flips, scales, zero padding and band truncation folded
+in (:func:`_even_ops`, which alone picks the engine, and :func:`_apply`);
 beyond, ``scipy.fft``, loaded like the full-grid FFTs on first use: a
 transform is one ``dctn``, a padded leg one ``dct`` per axis on only the
 lines that carry data (:func:`_dct1_lines`; Bowman & Roberts, SIAM J. Sci.
@@ -90,6 +91,8 @@ __all__ = [
 PHYSICAL = "physical"
 FREQUENCY = "frequency"
 _REPS = (PHYSICAL, FREQUENCY)
+# The largest block side per dimension whose legs run dense (:func:`_even_ops`).
+_DENSE_SIDE = {2: 50, 3: 57}
 
 
 @dataclass(frozen=True)
@@ -113,7 +116,8 @@ class Grid:
     def __post_init__(self) -> None:
         _require_dim(self.dim)
         object.__setattr__(self, "extent", _require_real("extent", self.extent, positive=True))
-        if type(self.points) is not int or self.points < 4 or self.points % 2:
+        object.__setattr__(self, "points", int(_require_integer("points", self.points)))
+        if self.points < 4 or self.points % 2:
             raise DomainError(f"points must be an even integer >= 4, got {self.points!r}")
         # The generated hash, once: every cache keyed by the grid asks for it.
         object.__setattr__(self, "_hash", hash((self.dim, self.extent, self.points)))
@@ -333,14 +337,18 @@ def _apply(op: tuple, x: np.ndarray) -> np.ndarray:
     """The matrix ``a`` of ``op = (a, kron(a.T, I2))``, square or not, along
     every axis of a float64 or complex128 cubic block, fresh and C-ordered, by
     one ``matmul`` per axis on the float64 view, whose (re, im) pairs stay put:
-    a left product, a broadcast one on a 3d middle axis, a right one by ``op[1]``."""
+    a left product, a broadcast one on a 3d middle axis, a right one by ``op[1]``;
+    past ``2^18`` multiply-adds (3d complex sides over 19), a stack of slice
+    products per axis, which OpenBLAS kept on one thread up to side 62."""
     (a, pairs), cplx = op, x.dtype.kind == "c"
     z, right = (np.ascontiguousarray(x).view(np.float64), pairs) if cplx else (x, a.T)
-    if x.ndim == 3:
+    if x.ndim == 2:
+        z = a @ z @ right
+    elif a.shape[0] * z.size <= 1 << 18:
         z = (a @ z.reshape(a.shape[1], -1)).reshape((a.shape[0],) + z.shape[1:])
         z = ((a @ z).reshape(-1, z.shape[-1]) @ right).reshape(a.shape[0], a.shape[0], -1)
-    else:
-        z = a @ z @ right
+    else:  # each item one (m' x m) @ (m x c) slice; the two swaps restore the axis order
+        z = np.matmul(a, np.matmul(a, z.transpose(1, 0, 2)).transpose(1, 0, 2)) @ right
     return z.view(np.complex128) if cplx else z
 
 
@@ -352,13 +360,12 @@ def _even_ops(g: Grid, factors: int = 0) -> tuple | None:
     of a spectrum's block to the padded inverse ``Af[:, :n/2]``, and its way
     out, band truncation, inverse and flip as one ``(n/2+1) x (nf/2+1)`` matrix.
 
-    ``None``, for scipy, where one axis of the leg's complex block, of side
-    ``m = n/2+1`` (on the padded grid with ``factors``), costs ``2 m^(d+1)``
-    real multiply-adds, over ``2^18``: up to that OpenBLAS keeps the ``gemm``
-    on one thread, where a dense DCT-I beats scipy's 2-14x.  A real product
-    takes its spectrum's engine both ways."""
+    ``None``, for scipy, where the leg's block side ``n/2+1`` (on the padded
+    grid with ``factors``) passes ``_DENSE_SIDE``: up to it the dense DCT-I
+    measured faster than scipy's with every product on one OpenBLAS thread
+    (:func:`_apply`).  A real product takes its spectrum's engine both ways."""
     fine = _padding(g, factors)[0] if factors else g
-    if 2 * (fine.points // 2 + 1) ** (g.dim + 1) > 1 << 18:
+    if fine.points // 2 + 1 > _DENSE_SIDE[g.dim]:
         return None
 
     def dct1(grid):  # scipy's DCT-I of the block, angles reduced exactly; dx / sqrt(2 pi)

@@ -337,6 +337,22 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"\[grid\]"):
             load_config(write_config(tmp_path / "a.ini", text))
 
+    @pytest.mark.parametrize("text,count", [(INEQ_2D_TEXT, 8), (MORAWETZ_TEXT, 3)],
+                             ids=["inequalities", "morawetz"])
+    def test_largest_seed(self, tmp_path, text, count):
+        # The largest seed whose last corpus key, seed * 1000003 + count - 1
+        # (morawetz draws index 2), stays below 2^128 loads; one more does not.
+        largest = ((1 << 128) - count) // 1_000_003
+        old = next(line for line in text.splitlines() if line.startswith("seed = "))
+
+        def config(seed):
+            return write_config(tmp_path / "a.ini", text.replace(old, f"seed = {seed}"))
+
+        assert load_config(config(largest)).seed == largest
+        refused = rf"\[study\] seed = {largest + 1}: must be at most {largest},"
+        with pytest.raises(ConfigError, match=refused):
+            load_config(config(largest + 1))
+
     def test_negative_seed(self, tmp_path):
         text = SWEEP_TEXT.replace("seed = 0", "seed = -2")
         with pytest.raises(ConfigError, match="seed"):
@@ -608,12 +624,16 @@ class TestCli:
         assert "rogue" in capsys.readouterr().err
 
     def test_out_of_range_seed_exit_code(self, tmp_path, capsys):
-        # A config seed whose corpus keys pass 2^128 is a bad config value.
-        text = INEQ_2D_TEXT.replace("seed = 2", f"seed = {(1 << 128) - 1}")
+        # A config seed whose corpus keys pass 2^128 is a bad config value,
+        # named as the config holds it, not as the key it makes.
+        seed = (1 << 128) - 1
+        text = INEQ_2D_TEXT.replace("seed = 2", f"seed = {seed}")
         config = write_config(tmp_path / "a.ini", text)
         code = main(["inequalities", "--config", config, "--out", str(tmp_path / "out")])
         assert code == 3
-        assert "error: seed must lie in [0, 2**128)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: [study] seed = {seed}: must be at most" in err
+        assert str(seed * 1_000_003) not in err and not (tmp_path / "out").exists()
 
     def test_mismatched_subcommand(self, tmp_path, capsys):
         config = write_config(tmp_path / "a.ini", CONSERVE_TEXT)

@@ -241,6 +241,10 @@ class TestSmoothingSymbol:
         with pytest.raises(DomainError):
             i_operator_symbol(2.0, 0.0)
 
+    def test_numpy_scalars_are_numbers(self):
+        assert i_operator_symbol(np.int64(2), 0.5) == i_operator_symbol(2.0, 0.5)
+        assert i_operator_symbol(2.0, np.float32(0.5)) == i_operator_symbol(2.0, 0.5)
+
     @pytest.mark.parametrize("bad", [[1.0], math.nan, "1.0"], ids=["list", "nan", "str"])
     def test_validation_comes_before_the_cache(self, bad):
         with pytest.raises(DomainError, match="N must"):

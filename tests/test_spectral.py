@@ -53,6 +53,8 @@ from oracles import (
 )
 
 TWO_PI = 2.0 * math.pi
+# The largest block side per dimension whose legs run dense.
+DENSE_SIDE = {2: 50, 3: 57}
 
 
 def rel_error(got, want):
@@ -77,9 +79,18 @@ class TestGrid:
         for extent in (math.nan, math.inf, 0.0, True, "8"):
             with pytest.raises(DomainError, match="extent"):
                 Grid(2, extent, 32)
-        for points in (32.0, True, np.int64(32), 2):
+        for points in (32.0, True, np.float64(32.0), np.int64(31), 2):
             with pytest.raises(DomainError, match="points"):
                 Grid(2, 8.0, points)
+
+    def test_numpy_scalars_are_numbers(self):
+        # numpy's integers are integers and reals: the grid stores plain
+        # Python numbers, so repr, hash and equality are those of Grid(2, 16.0, 32).
+        g = Grid(2, 16.0, 32)
+        for other in (Grid(2, np.int64(16), 32), Grid(2, 16.0, np.int64(32)),
+                      Grid(2, np.float32(16.0), np.int32(32))):
+            assert other == g and hash(other) == hash(g) and repr(other) == repr(g)
+            assert type(other.extent) is float and type(other.points) is int
 
     @pytest.mark.parametrize("dim", [2.0, 3.0, True, np.int64(2), 4])
     def test_default_grid_dim_is_validated_like_grid(self, dim):
@@ -467,12 +478,14 @@ class TestEvenSector:
         (Grid(3, 8.0, 16), "radial", "dense"),
         (Grid(2, 16.0, 32), "radial", "dense"),
         (Grid(2, 16.0, 128), "radial", "dctn"),
-        (Grid(3, 8.0, 40), "radial", "dctn"),
+        (Grid(3, 8.0, 40), "radial", "dense"),
+        (Grid(3, 8.0, 80), "radial", "dense"),
         (Grid(2, 16.0, 64), "random", "fft"),
         (Grid(2, 16.0, 64), "signed_zero", "fft"),
         (Grid(2, 16.0, 32), "radial_sector_off", "fft"),
     ], ids=["radial_64^2", "radial_16^3", "radial_32^2", "radial_128^2", "radial_40^3",
-            "random_64^2", "even_by_value_odd_by_sign_64^2", "radial_32^2_sector_off"])
+            "radial_80^3", "random_64^2", "even_by_value_odd_by_sign_64^2",
+            "radial_32^2_sector_off"])
     def test_path_taken(self, monkeypatch, grid, kind, path):
         if kind == "signed_zero":
             # Even by value only, so its transforms and both products take
@@ -498,12 +511,11 @@ class TestEvenSector:
 
         def leg(side, cplx, *fallback, padded=True):
             # A leg whose largest block has this side is one dense operator
-            # exactly when one axis of that block's complex DCT-I is at most
-            # 2^18 real multiply-adds (a real product's way out takes its way
-            # in's engine); else a transform makes one dctn call per block side
-            # in fallback, and a padded leg one dct call per axis, in dctn's
-            # axis order, for each.
-            if 2 * side ** (grid.dim + 1) <= 1 << 18:
+            # exactly when that side is at most DENSE_SIDE (a real product's
+            # way out takes its way in's engine); else a transform makes one
+            # dctn call per block side in fallback, and a padded leg one dct
+            # call per axis, in dctn's axis order, for each.
+            if side <= DENSE_SIDE[grid.dim]:
                 return [("dense", side, cplx)]
             if not padded:
                 return [("dctn", m, cplx) for m in fallback]
@@ -548,32 +560,37 @@ class TestEvenSector:
         # One dct per axis over the lines that carry data gives each line the
         # input dctn gives it: the real way out of |u|^p and the complex one of
         # |u|^(d-1) u match the zero-filled dctn composition exactly, and the
-        # transforms of a held block, read-only, are one dctn each.
+        # transforms of a held block, read-only, are one dctn each.  Only legs
+        # over DENSE_SIDE take scipy: all of them at 128^2 and 256^2, the 5-fold
+        # product at 40^3 and all but |u|^2 at 64^3.
         u = self.even_field(grid)
         spec = u.as_frequency()
 
         def bits(a):
             return np.ascontiguousarray(a).view(np.uint64)
 
-        want = scipy.fft.dctn(np.flip(u._half), type=1) * spectral._forward_scale(grid)
-        assert np.array_equal(bits(spectral._forward(grid, u._half)), bits(want))
-        scale = spectral._inverse_scale(grid) / grid.size
-        want = np.flip(scipy.fft.dctn(spec._half, type=1) * scale)
-        assert np.array_equal(bits(spectral._inverse(grid, spec._half)), bits(want))
+        if grid.points // 2 + 1 > DENSE_SIDE[grid.dim]:
+            want = scipy.fft.dctn(np.flip(u._half), type=1) * spectral._forward_scale(grid)
+            assert np.array_equal(bits(spectral._forward(grid, u._half)), bits(want))
+            scale = spectral._inverse_scale(grid) / grid.size
+            want = np.flip(scipy.fft.dctn(spec._half, type=1) * scale)
+            assert np.array_equal(bits(spectral._inverse(grid, spec._half)), bits(want))
         products = [(dealiased_modulus_power, p, lambda w, p=p: (w.real**2 + w.imag**2) ** (p // 2))
                     for p in (2, 4)]
         products += [(dealiased_power, d, lambda w, d=d: np.abs(w) ** (d - 1) * w) for d in (3, 5)]
-        for product, factors, pointwise in products:
-            side = spectral._padding(grid, factors)[0].points // 2 + 1
-            assert side ** (grid.dim + 1) > 1 << 18  # both padded legs are over the cap
+        over = [(product, factors, pointwise) for product, factors, pointwise in products
+                if spectral._padding(grid, factors)[0].points // 2 + 1 > DENSE_SIDE[grid.dim]]
+        assert len(over) == {128: 4, 256: 4, 40: 1, 64: 3}[grid.points]
+        for product, factors, pointwise in over:
+            assert spectral._even_ops(grid, factors) is None
             got = product(u, factors)._half
             want = np.asarray(self.dctn_product(u, factors, pointwise), np.complex128)
             assert np.array_equal(bits(got), bits(want))
 
     def test_real_product_takes_its_spectrum_engine(self):
-        # |u|^4 at 16^3 pads to side 21, over the 3d cap of 19: the real way
+        # |u|^4 at 64^3 pads to side 81, over the 3d bound of 57: the real way
         # out takes scipy like the complex way in, with the dctn composition's bits.
-        grid = Grid(3, 8.0, 16)
+        grid = Grid(3, 8.0, 64)
         u = self.even_field(grid)
         got = dealiased_modulus_power(u, 4)._half
         want = self.dctn_product(u, 4, lambda w: (w.real**2 + w.imag**2) ** 2)
@@ -621,8 +638,9 @@ class TestEvenSector:
     @pytest.mark.parametrize("dim", [2, 3], ids=["2d", "3d"])
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["real", "complex"])
     def test_dense_dct1_matches_dctn(self, monkeypatch, dim, dtype):
-        # The largest dense sides: 2 * m^(dim+1) <= 2^18, real blocks too.
-        largest = {2: 50, 3: 19}[dim]
+        # Every side up to the largest dense one, real blocks too; in 3d the
+        # single products up to side 19 and the stacked ones beyond.
+        largest = DENSE_SIDE[dim]
         sides = range(3, largest + 1)
         rng = np.random.default_rng(dim)
         blocks = [rng.standard_normal((m,) * dim) for m in sides]
@@ -644,8 +662,8 @@ class TestEvenSector:
             assert x.tobytes() == before.tobytes() and not np.shares_memory(got, x)
             assert got.dtype == ref.dtype and got.flags.c_contiguous and got.flags.writeable
             assert rel_error(got, ref) <= 1e-14
-        # _even_ops admits the largest side, on 98^2 or 36^3, and not the
-        # next even grid, 100^2 or 38^3.
+        # _even_ops admits the largest side, on 98^2 or 112^3, and not the
+        # next even grid, 100^2 or 114^3.
         points = 2 * largest - 2
         assert spectral._even_ops(Grid(dim, 16.0, points)) is not None
         assert spectral._even_ops(Grid(dim, 16.0, points + 2)) is None
@@ -670,9 +688,41 @@ print("scipy.fft" in sys.modules)
         # Not loaded by the radial run; loaded by the first non-even transform.
         assert run.stdout.split() == ["3", "True", "True", "False", "True"]
 
+    def test_largest_dense_legs_stay_on_one_thread(self):
+        # A fresh interpreter runs the 64^3 transforms, both legs of its |u|^2
+        # and a transform of the largest dense 3d block; one thread cannot
+        # pass 1.0 CPU seconds per wall second whatever the host's load, and
+        # two threaded products read about 2.
+        script = """
+import time
+import numpy as np
+from nlsbox import Grid, RadialProfile, dealiased_modulus_power, linear_flow, make_radial_data
+from nlsbox import spectral
+grid, top = Grid(3, 8.0, 64), Grid(3, 8.0, 112)
+u = linear_flow(make_radial_data(grid, RadialProfile("gaussian", 1.2, 1.0)), 0.3)
+spec, block = u.as_frequency(), np.random.default_rng(0).standard_normal((57,) * 3) * (1 + 1j)
+assert spectral._even_ops(grid) and spectral._even_ops(grid, 2) and spectral._even_ops(top)
+def legs():
+    spectral._forward(grid, u._half), spectral._inverse(grid, spec._half)
+    dealiased_modulus_power(spec, 2), spectral._forward(top, block)
+legs()
+time.sleep(0.5)  # OpenBLAS's idle workers spin for a while after start-up
+wall, cpu, calls = time.perf_counter(), time.process_time(), 0
+while calls < 20 or time.perf_counter() - wall < 0.5:
+    legs()
+    calls += 1
+print(calls, (time.process_time() - cpu) / (time.perf_counter() - wall))
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(nlsbox.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        calls, ratio = run.stdout.split()
+        assert int(calls) >= 20 and float(ratio) <= 1.2, run.stdout
+
     @pytest.mark.parametrize("grid", [Grid(2, 16.0, 32), Grid(2, 16.0, 128), Grid(3, 8.0, 16),
-                                      Grid(3, 8.0, 40)],
-                             ids=["32^2_dense", "128^2_over_cap", "16^3_dense", "40^3_over_cap"])
+                                      Grid(3, 8.0, 80)],
+                             ids=["32^2_dense", "128^2_over_cap", "16^3_dense", "80^3_over_cap"])
     def test_held_blocks_stay_unchanged_and_read_only(self, grid):
         u = self.even_field(grid)
         spec, fresh = u.as_frequency(), Field.physical(grid, u.samples)
@@ -704,7 +754,8 @@ class TestEvenOperators:
         assert all(not a.flags.writeable for a in op)
         assert got.flags.c_contiguous and rel_error(got, want) <= 1e-14
 
-    @pytest.mark.parametrize("grid", [Grid(2, 16.0, 32), Grid(3, 8.0, 16)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("grid", [Grid(2, 16.0, 32), Grid(3, 8.0, 16), Grid(3, 8.0, 64)],
+                             ids=["2d", "3d", "64^3"])
     @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
     def test_transforms(self, grid, cplx):
         x, c = self.block(grid.dim, grid.points // 2 + 1, cplx), math.sqrt(2.0 * math.pi)
@@ -715,7 +766,8 @@ class TestEvenOperators:
         want = np.flip(scipy.fft.dctn(x, type=1) * (c / grid.dx) ** grid.dim / grid.size)
         self.check(inverse, spectral._inverse(grid, x), want)
 
-    @pytest.mark.parametrize("grid", [Grid(2, 16.0, 32), Grid(3, 8.0, 16)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("grid", [Grid(2, 16.0, 32), Grid(3, 8.0, 16), Grid(3, 8.0, 64)],
+                             ids=["2d", "3d", "64^3"])
     @pytest.mark.parametrize("factors", [2, 3, 4])
     def test_padded_product_legs(self, grid, factors):
         n, half, c = grid.points, grid.points // 2, math.sqrt(2.0 * math.pi)
@@ -723,7 +775,7 @@ class TestEvenOperators:
         dxf, kept = grid.extent / fine, (slice(0, half),) * grid.dim
         scale_in = (c / dxf / fine) ** grid.dim
         ops = spectral._even_ops(grid, factors)
-        if (grid.dim, factors) == (3, 4):  # padded side 21, over the 3d cap of 19
+        if fine // 2 + 1 > DENSE_SIDE[grid.dim]:  # 64^3 pads to 65 and 81 at 3 and 4 factors
             assert ops is None
             return
         into, out = ops
