@@ -23,9 +23,9 @@ from .errors import (
     DomainError,
     InstabilityError,
     UndersamplingWarning,
-    _require_count,
     _require_equation,
     _require_increasing,
+    _require_integer,
     _require_real,
     _require_same_dim,
 )
@@ -80,13 +80,14 @@ class EvolutionParams:
     dealias: bool = True
 
     def __post_init__(self) -> None:
-        _require_equation(self.dim, self.k)
         if type(self.dealias) is not bool:
             raise DomainError(f"dealias must be True or False, got {self.dealias!r}")
-        for name in ("dt", "t_final"):
-            value = _require_real(name, getattr(self, name), positive=True)
+        checked = dict(zip(("dim", "k"), _require_equation(self.dim, self.k)),
+                       dt=_require_real("dt", self.dt, positive=True),
+                       t_final=_require_real("t_final", self.t_final, positive=True),
+                       sample_every=_require_integer("sample_every", self.sample_every, low=1))
+        for name, value in checked.items():
             object.__setattr__(self, name, value)
-        _require_count("sample_every", self.sample_every)
         steps = round(self.t_final / self.dt)
         if steps < 1 or abs(steps * self.dt - self.t_final) > 1e-9 * max(1.0, self.t_final):
             raise DomainError(
@@ -184,8 +185,7 @@ def nonlinear_phase(f: Field, dt: float, k: int, dealias: bool = True) -> Field:
     with it the mass, is untouched.  The representation of the input is
     preserved.
     """
-    dt = _require_real("dt", dt)
-    _require_count("k", k)
+    dt, k = _require_real("dt", dt), _require_integer("k", k, low=1)
     if dealias:
         return _map_physical(f, lambda a, w: a * np.exp(-1j * dt * w.real),
                              dealiased_modulus_power(f, 2 * k))
@@ -283,7 +283,7 @@ def energy(f: Field, k: int) -> float:
     physical lattice.  Both terms are nonnegative, so the defocusing
     energy controls the H1 size of the field.
     """
-    _require_count("k", k)
+    k = _require_integer("k", k, low=1)
     w = partial(_symbol_values, f.grid, _sobolev_symbol(2.0))
     kinetic = _lattice_sum(lambda s, sym: sym * np.abs(s) ** 2, f.as_frequency(), w)
     potential = _lattice_sum(lambda a: np.abs(a) ** (2 * k + 2), f.as_physical())

@@ -49,32 +49,32 @@ class UndersamplingWarning(UserWarning):
     """A time series is too coarsely sampled for the statistic computed from it."""
 
 
+def _require_integer(name: str, value, low: int | None = None) -> int:
+    """``value`` as a plain ``int``, if it is an integer (numpy's included,
+    booleans not) and, when ``low`` is given, at least ``low``."""
+    if type(value) is not int:  # a plain int, the common case, skips the ABC test
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if low is not None and value < low:
+        raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
+
+
 def _require_dim(dim) -> int:
-    """A spatial dimension: the integer 2 or 3."""
-    if type(dim) is not int or dim not in (2, 3):
+    """A spatial dimension: the integer 2 or 3, as a plain ``int``."""
+    if (value := _require_integer("dim", dim)) not in (2, 3):
         raise DomainError(f"dim must be 2 or 3, got {dim!r}")
-    return dim
-
-
-def _require_integer(name: str, value) -> int:
-    """``value`` if it is an integer, numpy's included; booleans are rejected."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
     return value
 
 
-def _require_count(name: str, value) -> int:
-    """``value`` if it is a positive integer; booleans are rejected."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise DomainError(f"{name} must be a positive integer, got {value!r}")
-    return value
-
-
-def _require_equation(dim, k) -> None:
-    """``|u|^(2k) u`` in ``dim`` dimensions: any ``k`` in 2d, cubic in 3d."""
-    _require_dim(dim)
-    if _require_count("k", k) != 1 and dim == 3:
+def _require_equation(dim, k) -> tuple[int, int]:
+    """``|u|^(2k) u`` in ``dim`` dimensions: any ``k`` in 2d, cubic in 3d;
+    ``(dim, k)`` as plain ``int``s."""
+    dim, k = _require_dim(dim), _require_integer("k", k, low=1)
+    if k != 1 and dim == 3:
         raise DomainError("three dimensional runs support the cubic case only")
+    return dim, k
 
 
 def _require_exponent(name: str, value) -> None:

@@ -12,7 +12,7 @@ import configparser
 from dataclasses import dataclass
 
 from ..dynamics import EvolutionParams
-from ..errors import ConfigError, DomainError, _require_count, _require_increasing
+from ..errors import ConfigError, DomainError, _require_increasing, _require_integer
 from ..spectral import Grid, RadialProfile
 from .corpus import _SEED_STRIDE, member_seed
 
@@ -21,14 +21,11 @@ __all__ = ["STUDY_NAMES", "StudyConfig", "load_config"]
 REQUIRED = object()  # the default of a key every config must give
 
 
-def _at_least(low: int):
-    def cast(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise ValueError(f"must be at least {low}")
-        return value
+def _at_least(low: int, name: str = "value"):
+    return lambda text: _require_integer(name, int(text), low)
 
-    return cast
+
+_mode_count = _at_least(1, "mode count")
 
 
 def _fraction(text: str) -> float:
@@ -36,10 +33,6 @@ def _fraction(text: str) -> float:
     if not 0.0 < value < 1.0:
         raise ValueError(f"{value} is outside (0, 1)")
     return value
-
-
-def _mode_count(text: str) -> int:
-    return _require_count("mode count", int(text))
 
 
 def _mode_counts(text: str) -> tuple[int, ...]:

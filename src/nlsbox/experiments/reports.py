@@ -53,9 +53,7 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(float(value)) if isinstance(value, float) else str(value)  # numpy's floats too
 
 
 def write_rows(path, header: str, rows) -> None:

@@ -23,8 +23,8 @@ from .dynamics import _TAIL_WARN_FRACTION, _sample_list, energy, linear_flow
 from .errors import (
     DomainError,
     UndersamplingWarning,
-    _require_count,
     _require_equation,
+    _require_integer,
     _require_real,
     _require_same_dim,
 )
@@ -47,7 +47,7 @@ __all__ = [
 
 def critical_exponent(dim: int, k: int) -> float:
     """Scaling-critical Sobolev index: 1 - 1/k in 2d, 1/2 for the 3d cubic."""
-    _require_equation(dim, k)
+    dim, k = _require_equation(dim, k)
     return 0.5 if dim == 3 else 1.0 - 1.0 / k
 
 
@@ -66,6 +66,8 @@ class IMethodConfig:
     dim: int
 
     def __post_init__(self) -> None:
+        for name, value in zip(("dim", "k"), _require_equation(self.dim, self.k)):
+            object.__setattr__(self, name, value)
         s_c = critical_exponent(self.dim, self.k)
         object.__setattr__(self, "N", _require_real("N", self.N, positive=True))
         s = _require_real("s", self.s)
@@ -103,7 +105,7 @@ def rescale(f: Field, lam: float, k: int) -> Field:
     if math.frexp(lam)[0] != 0.5:
         raise DomainError(f"lam must be a power of two, got {lam!r}")
     g = f.grid
-    _require_equation(g.dim, k)
+    k = _require_equation(g.dim, k)[1]
     alpha = 1.0 if g.dim == 3 else 1.0 / k
     even, (held,) = _operands(f.as_physical())  # the block of an even field stays one
     return Field._adopt(Grid(g.dim, g.extent / lam, g.points), lam**alpha * held, PHYSICAL, even)
@@ -137,7 +139,7 @@ def commutator(f: Field, cfg: IMethodConfig) -> Field:
 
 def vanishing_constant(k: int) -> float:
     """Frequency fraction c(k) under which the defect provably vanishes."""
-    _require_count("k", k)
+    k = _require_integer("k", k, low=1)
     return 0.125 if k == 1 else 1.0 / (2 * k + 2)
 
 

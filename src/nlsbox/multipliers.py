@@ -137,7 +137,9 @@ class ProjectionBank:
     j_max: int
 
     def __post_init__(self) -> None:
-        if _require_integer("j_min", self.j_min) > _require_integer("j_max", self.j_max):
+        for name in ("j_min", "j_max"):
+            object.__setattr__(self, name, _require_integer(name, getattr(self, name)))
+        if self.j_min > self.j_max:
             raise DomainError(f"empty dyadic range [{self.j_min}, {self.j_max}]")
         object.__setattr__(self, "_symbols", {})  # per scale, so _symbol_values hits
 
@@ -153,7 +155,7 @@ class ProjectionBank:
         return smooth_cutoff(np.ldexp(r, -j)) - smooth_cutoff(np.ldexp(r, -j + 1))
 
     def symbol(self, j: int) -> RadialSymbol:
-        if not self.j_min <= _require_integer("j", j) <= self.j_max:
+        if not self.j_min <= (j := _require_integer("j", j)) <= self.j_max:
             raise DomainError(f"j={j} outside bank range [{self.j_min}, {self.j_max}]")
         if j not in self._symbols:
             self._symbols[j] = RadialSymbol(f"lp_{j}", partial(self.phi, j))
@@ -166,7 +168,7 @@ def lp_project(f: Field, bank: ProjectionBank, j: int) -> Field:
 
 
 def _sharp_pass(f: Field, lam: float, keep_low: bool) -> Field:
-    grid = f.grid
+    grid, lam = f.grid, _require_real("lam", lam)
     if not 0.0 < lam < grid.nyquist:
         raise ResolutionError(
             f"cutoff {lam:.4g} must lie in (0, Nyquist={grid.nyquist:.4g})"

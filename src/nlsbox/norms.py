@@ -74,6 +74,8 @@ class MixedNormSpec:
     def __post_init__(self) -> None:
         _require_exponent("p_time", self.p_time)
         _require_exponent("q_space", self.q_space)
+        for name in ("t_start", "t_end"):
+            object.__setattr__(self, name, _require_real(name, getattr(self, name)))
         if not self.t_end > self.t_start:
             raise DomainError(
                 f"empty time window [{self.t_start}, {self.t_end}]"

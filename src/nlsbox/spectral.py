@@ -114,10 +114,10 @@ class Grid:
     points: int
 
     def __post_init__(self) -> None:
-        _require_dim(self.dim)
+        object.__setattr__(self, "dim", _require_dim(self.dim))
         object.__setattr__(self, "extent", _require_real("extent", self.extent, positive=True))
-        object.__setattr__(self, "points", int(_require_integer("points", self.points)))
-        if self.points < 4 or self.points % 2:
+        object.__setattr__(self, "points", _require_integer("points", self.points, low=4))
+        if self.points % 2:
             raise DomainError(f"points must be an even integer >= 4, got {self.points!r}")
         # The generated hash, once: every cache keyed by the grid asks for it.
         object.__setattr__(self, "_hash", hash((self.dim, self.extent, self.points)))
@@ -561,7 +561,7 @@ def dealiased_power(f: Field, degree: int) -> Field:
     Within the band of ``f`` the returned spectrum equals the exact
     polynomial product of the band-limited input.
     """
-    if degree < 3 or degree % 2 == 0:
+    if (degree := _require_integer("degree", degree)) < 3 or degree % 2 == 0:
         raise DomainError(f"degree must be odd and >= 3, got {degree}")
     out = _padded_product(f, degree, lambda u: np.abs(u) ** (degree - 1) * u)
     return out if f.is_physical else forward_transform(out)
@@ -572,7 +572,7 @@ def dealiased_modulus_power(f: Field, power: int) -> Field:
 
     Returned as a physical field with real samples.
     """
-    if power < 2 or power % 2:
+    if (power := _require_integer("power", power)) < 2 or power % 2:
         raise DomainError(f"power must be even and >= 2, got {power}")
 
     def pointwise(u):
@@ -605,8 +605,10 @@ class RadialProfile:
         for name, positive in (("amplitude", False), ("width", True)):
             value = _require_real(name, getattr(self, name), positive)
             object.__setattr__(self, name, value)
-        if self.seed is not None and not 0 <= _require_integer("seed", self.seed) < 1 << 128:
-            raise DomainError(f"seed must lie in [0, 2**128), got {self.seed!r}")
+        if self.seed is not None:
+            object.__setattr__(self, "seed", _require_integer("seed", self.seed))
+            if not 0 <= self.seed < 1 << 128:
+                raise DomainError(f"seed must lie in [0, 2**128), got {self.seed!r}")
 
 
 def make_radial_data(grid: Grid, profile: RadialProfile) -> Field:

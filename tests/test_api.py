@@ -1,15 +1,38 @@
 """Public API: every exported name resolves, each package's ``__all__`` is
 its star-imported modules' ``__all__`` (and ``__version__``), and removed
 names stay removed; every cache the package keeps has a bound or a named
-reason to have none."""
+reason to have none; every integer and real parameter goes through one rule."""
 
 import ast
 import importlib
+import math
 import pkgutil
 
+import numpy as np
 import pytest
 
 import nlsbox
+from nlsbox import (
+    DomainError,
+    EvolutionParams,
+    Field,
+    Grid,
+    IMethodConfig,
+    MixedNormSpec,
+    ProjectionBank,
+    RadialProfile,
+    critical_exponent,
+    dealiased_modulus_power,
+    dealiased_power,
+    energy,
+    high_pass,
+    low_pass,
+    lp_project,
+    make_radial_data,
+    nonlinear_phase,
+    strichartz_admissible,
+    vanishing_constant,
+)
 
 SUBMODULES = ("spectral", "multipliers", "dynamics", "norms", "imethod", "errors")
 EXPERIMENT_MODULES = ("experiments.config", "experiments.corpus", "experiments.reports",
@@ -101,3 +124,59 @@ def test_every_cache_is_bounded_or_named():
     # Every cache decorator in the sources is a module-level cache found above.
     assert decorated == set(found) and "nlsbox.spectral._checkerboard" in found
     assert {name for name, maxsize in found.items() if maxsize is None} == UNBOUNDED_CACHES
+
+
+_U = make_radial_data(Grid(2, 8.0, 16), RadialProfile("gaussian", width=2.0))
+_BANK = ProjectionBank(-1, 3)
+
+# (parameter name, call with the parameter as its argument, plain value); an
+# integer parameter's plain value is an int, a real one's a float.
+PARAMETERS = {
+    "Grid.dim": ("dim", lambda v: Grid(v, 8.0, 32), 2),
+    "Grid.points": ("points", lambda v: Grid(2, 8.0, v), 32),
+    "EvolutionParams.dim": ("dim", lambda v: EvolutionParams(v, 1, 0.01, 0.1), 2),
+    "EvolutionParams.k": ("k", lambda v: EvolutionParams(2, v, 0.01, 0.1), 2),
+    "EvolutionParams.sample_every": (
+        "sample_every", lambda v: EvolutionParams(2, 1, 0.01, 0.1, sample_every=v), 2),
+    "IMethodConfig.dim": ("dim", lambda v: IMethodConfig(4.0, 0.8, 1, v), 3),
+    "IMethodConfig.k": ("k", lambda v: IMethodConfig(4.0, 0.8, v, 2), 2),
+    "strichartz_admissible.dim": ("dim", lambda v: strichartz_admissible(4.0, 4.0, v), 2),
+    "critical_exponent.dim": ("dim", lambda v: critical_exponent(v, 1), 3),
+    "critical_exponent.k": ("k", lambda v: critical_exponent(2, v), 2),
+    "nonlinear_phase.k": ("k", lambda v: nonlinear_phase(_U, 0.01, v), 1),
+    "energy.k": ("k", lambda v: energy(_U, v), 2),
+    "vanishing_constant.k": ("k", vanishing_constant, 1),
+    "RadialProfile.seed": (
+        "seed", lambda v: RadialProfile("random_radial_superposition", seed=v), 7),
+    "ProjectionBank.j_min": ("j_min", lambda v: ProjectionBank(v, 3), -1),
+    "ProjectionBank.j_max": ("j_max", lambda v: ProjectionBank(-1, v), 3),
+    "lp_project.j": ("j", lambda v: lp_project(_U, _BANK, v), 1),
+    "dealiased_power.degree": ("degree", lambda v: dealiased_power(_U, v), 3),
+    "dealiased_modulus_power.power": ("power", lambda v: dealiased_modulus_power(_U, v), 2),
+    "low_pass.lam": ("lam", lambda v: low_pass(_U, v), 1.5),
+    "high_pass.lam": ("lam", lambda v: high_pass(_U, v), 1.5),
+    "MixedNormSpec.t_start": ("t_start", lambda v: MixedNormSpec(2, 4, v, 1.0), 0.0),
+    "MixedNormSpec.t_end": ("t_end", lambda v: MixedNormSpec(2, 4, 0.0, v), 1.0),
+}
+
+
+def _same(a, b) -> bool:
+    """Equal results; fields bit for bit, anything else by value and repr, so a
+    numpy scalar stored in place of a plain number shows."""
+    if isinstance(a, Field):
+        return (a.grid == b.grid and a.rep == b.rep
+                and a.samples.tobytes() == b.samples.tobytes())
+    return type(a) is type(b) and a == b and repr(a) == repr(b)
+
+
+@pytest.mark.parametrize("name,call,plain", PARAMETERS.values(), ids=PARAMETERS.keys())
+def test_numeric_parameters_share_one_rule(name, call, plain):
+    # numpy scalars act as the plain number; a boolean, a string, NaN and, for
+    # an integer, a float holding an integer raise DomainError naming the parameter.
+    is_int = type(plain) is int
+    kinds = (np.int64, np.int32) if is_int else (np.float64, np.float32)
+    for kind in kinds:
+        assert _same(call(kind(plain)), call(plain))
+    for bad in (True, "1", math.nan) + ((float(plain),) if is_int else ()):
+        with pytest.raises(DomainError, match=name):
+            call(bad)

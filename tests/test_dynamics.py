@@ -74,10 +74,12 @@ class TestParams:
             EvolutionParams(2, 1, 0.01, 0.1, dealias=dealias)
         assert EvolutionParams(2, 1, 0.01, 0.1, dealias=False).dealias is False
 
-    @pytest.mark.parametrize("dim", [3.0, 2.0, True, np.int64(2)])
+    @pytest.mark.parametrize("dim", [3.0, 2.0, True])
     def test_dim_must_be_an_int(self, dim):
         with pytest.raises(DomainError, match="dim"):
             EvolutionParams(dim, 1, 0.01, 0.1)
+        # numpy's integers are integers, stored as plain ints
+        assert type(EvolutionParams(np.int64(2), 1, 0.01, 0.1).dim) is int
 
     def test_horizon_must_be_whole_steps(self):
         with pytest.raises(DomainError):

@@ -2,9 +2,11 @@
 
 import argparse
 import configparser
+import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -353,6 +355,22 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=refused):
             load_config(config(largest + 1))
 
+    @pytest.mark.parametrize("study,section,key", [
+        ("sweep-n", "study", "seed"),
+        ("sweep-n", "grid", "dim"),
+        ("sweep-n", "grid", "points"),
+        ("sweep-n", "evolution", "k"),
+        ("sweep-n", "evolution", "sample_every"),
+        ("sweep-n", "imethod", "n_list"),
+        ("inequalities", "imethod", "n"),
+        ("inequalities", "corpus", "count"),
+    ])
+    def test_integer_keys_refuse_other_values(self, tmp_path, study, section, key):
+        for bad in ("True", "nan", "3.0"):
+            text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {bad}", STUDY_TEXTS[study])
+            with pytest.raises(ConfigError, match=rf"\[{section}\] {key} = "):
+                load_config(write_config(tmp_path / "a.ini", text))
+
     def test_negative_seed(self, tmp_path):
         text = SWEEP_TEXT.replace("seed = 0", "seed = -2")
         with pytest.raises(ConfigError, match="seed"):
@@ -436,6 +454,16 @@ class TestReports:
         assert float(lines[1].split(",")[1]) == 0.1
         assert float(lines[2].split(",")[1]) == 1.0 / 3.0
         assert not (tmp_path / "t.csv.tmp").exists()
+
+    def test_write_rows_numpy_cells_read_back(self, tmp_path):
+        # numpy's floats are floats: their cells hold the plain repr, not np.float64(...)
+        path = tmp_path / "t.csv"
+        row = (np.float64(0.5), np.float64(1.0 / 3.0), np.int64(7), np.float32(0.25))
+        write_rows(path, "a,b,c,d", [row])
+        with open(path, newline="") as fh:
+            header, cells = list(csv.reader(fh))
+        assert header == ["a", "b", "c", "d"]
+        assert [float(cell) for cell in cells] == [float(v) for v in row]
 
 
 class TestStudies:

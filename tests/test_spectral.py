@@ -88,11 +88,11 @@ class TestGrid:
         # Python numbers, so repr, hash and equality are those of Grid(2, 16.0, 32).
         g = Grid(2, 16.0, 32)
         for other in (Grid(2, np.int64(16), 32), Grid(2, 16.0, np.int64(32)),
-                      Grid(2, np.float32(16.0), np.int32(32))):
+                      Grid(2, np.float32(16.0), np.int32(32)), Grid(np.int64(2), 16.0, 32)):
             assert other == g and hash(other) == hash(g) and repr(other) == repr(g)
-            assert type(other.extent) is float and type(other.points) is int
+            assert type(other.extent) is float and type(other.points) is type(other.dim) is int
 
-    @pytest.mark.parametrize("dim", [2.0, 3.0, True, np.int64(2), 4])
+    @pytest.mark.parametrize("dim", [2.0, 3.0, True, 4])
     def test_default_grid_dim_is_validated_like_grid(self, dim):
         with pytest.raises(DomainError, match="dim"):
             Grid(dim, 8.0, 32)
