@@ -34,10 +34,11 @@ from .spectral import (
     Field,
     Grid,
     _lattice_max,
-    _lattice_sum,
     _map_physical,
     _map_spectrum,
     _mass_fraction,
+    _modulus_power,
+    _power_sum,
     _radial,
     _readonly,
     dealiased_modulus_power,
@@ -189,7 +190,7 @@ def nonlinear_phase(f: Field, dt: float, k: int, dealias: bool = True) -> Field:
     if dealias:
         return _map_physical(f, lambda a, w: a * np.exp(-1j * dt * w.real),
                              dealiased_modulus_power(f, 2 * k))
-    return _map_physical(f, lambda a: a * np.exp(-1j * dt * np.abs(a) ** (2 * k)))
+    return _map_physical(f, lambda a: a * np.exp(-1j * dt * _modulus_power(a, 2 * k)))
 
 
 def strang_step(f: Field, params: EvolutionParams) -> Field:
@@ -273,7 +274,7 @@ def evolve(initial: Field, params: EvolutionParams) -> Trajectory:
 
 def mass(f: Field) -> float:
     """Squared L2 norm, the conserved mass of the flow."""
-    return _lattice_sum(lambda a: np.abs(a) ** 2, f.as_physical()) * f.grid.cell_volume
+    return _power_sum(2, f.as_physical()) * f.grid.cell_volume
 
 
 def energy(f: Field, k: int) -> float:
@@ -285,8 +286,8 @@ def energy(f: Field, k: int) -> float:
     """
     k = _require_integer("k", k, low=1)
     w = partial(_symbol_values, f.grid, _sobolev_symbol(2.0))
-    kinetic = _lattice_sum(lambda s, sym: sym * np.abs(s) ** 2, f.as_frequency(), w)
-    potential = _lattice_sum(lambda a: np.abs(a) ** (2 * k + 2), f.as_physical())
+    kinetic = _power_sum(2, f.as_frequency(), w)
+    potential = _power_sum(2 * k + 2, f.as_physical())
     return 0.5 * kinetic * f.grid.freq_cell_volume + potential * f.grid.cell_volume / (2 * k + 2)
 
 

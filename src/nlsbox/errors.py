@@ -77,10 +77,11 @@ def _require_equation(dim, k) -> tuple[int, int]:
     return dim, k
 
 
-def _require_exponent(name: str, value) -> None:
-    """A Lebesgue exponent: a real number >= 1, ``inf`` included, NaN and booleans not."""
+def _require_exponent(name: str, value) -> float:
+    """A Lebesgue exponent as a float: a real >= 1, ``inf`` included, NaN and booleans not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value >= 1.0:
         raise DomainError(f"{name} must be a number >= 1, got {value!r}")
+    return float(value)
 
 
 def _require_same_dim(what: str, dim: int, requested: int) -> None:

@@ -37,7 +37,7 @@ from ..norms import (
     strichartz_admissible,
     weighted_radial_sup,
 )
-from ..spectral import Field, _lattice_sum, _radial, make_radial_data
+from ..spectral import Field, _power_sum, _radial, inverse_transform, make_radial_data
 from .config import StudyConfig
 from .corpus import member_seed, morawetz_families, radial_corpus
 from .reports import StudyReport, stage_csv, write_report, write_rows
@@ -225,11 +225,8 @@ def _battery(cfg: StudyConfig):
         smoothed_h1 = sobolev_norm(apply_symbol(spec, smoothing), 1.0)
         low = low_pass(spec, cutoff)
         high = high_pass(spec, cutoff)
-        local = np.empty(len(times))
-        for i, t in enumerate(times):
-            u = linear_flow(piece, t).as_physical()
-            local[i] = _lattice_sum(lambda a, m: np.where(m, np.abs(a) ** 2, 0.0), u, inside)
-        local *= grid.cell_volume
+        local = np.array([_power_sum(2, inverse_transform(linear_flow(piece, t)), inside)
+                          for t in times]) * grid.cell_volume
         out = [
             piece_l2 * 2.0 ** (j * s) / sobolev_norm(spec, s),
             lebesgue_norm(piece_x, 4.0) / (2.0 ** (j * grid.dim * 0.25) * piece_l2),
@@ -241,10 +238,10 @@ def _battery(cfg: StudyConfig):
         if grid.dim == 3:
             sup = weighted_radial_sup(piece_x, 1.0, radius)
             out.append(sup / sobolev_norm(piece, 0.5))
-        # The free flow of the field, shared by the Strichartz pairs, sets
-        # the peak memory; nothing else field-sized is held beside it.
+        # The free flow of the field, shared by the Strichartz pairs, is the largest
+        # thing held: physical blocks, not the spectra the norms do not read.
         del piece, piece_x, low, high
-        flow = [(t, linear_flow(spec, t).as_physical()) for t in times]
+        flow = [(t, inverse_transform(linear_flow(spec, t))) for t in times]
         l2 = lebesgue_norm(f, 2.0)
         out += [mixed_norm(flow, MixedNormSpec(p, q, 0.0, 1.0)) / l2 for p, q in pairs]
         return out

@@ -25,7 +25,7 @@ from .errors import (
     _require_same_dim,
 )
 from .multipliers import _sobolev_symbol, _symbol_values, fractional_derivative
-from .spectral import Field, _lattice_max, _lattice_sum, _radial, dealiased_modulus_power
+from .spectral import Field, _lattice_max, _power_sum, _radial, dealiased_modulus_power
 
 __all__ = [
     "lebesgue_norm",
@@ -41,11 +41,10 @@ __all__ = [
 
 def lebesgue_norm(f: Field, p: float) -> float:
     """``L^p`` norm of the physical samples; ``p = inf`` gives the sup."""
-    _require_exponent("p", p)
-    u = f.as_physical()
+    p, u = _require_exponent("p", p), f.as_physical()
     if math.isinf(p):
         return _lattice_max(np.abs, u)
-    return (_lattice_sum(lambda a: np.abs(a) ** p, u) * f.grid.cell_volume) ** (1.0 / p)
+    return (_power_sum(p, u) * f.grid.cell_volume) ** (1.0 / p)
 
 
 def sobolev_norm(f: Field, s: float, homogeneous: bool = True) -> float:
@@ -58,7 +57,7 @@ def sobolev_norm(f: Field, s: float, homogeneous: bool = True) -> float:
     g = f.grid
     s = _require_real("s", s)
     w = partial(_symbol_values, g, _sobolev_symbol(2.0 * s, inhomogeneous=not homogeneous))
-    total = _lattice_sum(lambda a, sym: sym * (a.real**2 + a.imag**2), f.as_frequency(), w)
+    total = _power_sum(2, f.as_frequency(), w)
     return math.sqrt(total * g.freq_cell_volume)
 
 
@@ -72,10 +71,9 @@ class MixedNormSpec:
     t_end: float
 
     def __post_init__(self) -> None:
-        _require_exponent("p_time", self.p_time)
-        _require_exponent("q_space", self.q_space)
-        for name in ("t_start", "t_end"):
-            object.__setattr__(self, name, _require_real(name, getattr(self, name)))
+        for name, rule in (("p_time", _require_exponent), ("q_space", _require_exponent),
+                           ("t_start", _require_real), ("t_end", _require_real)):
+            object.__setattr__(self, name, rule(name, getattr(self, name)))
         if not self.t_end > self.t_start:
             raise DomainError(
                 f"empty time window [{self.t_start}, {self.t_end}]"
@@ -147,8 +145,7 @@ def strichartz_admissible(p: float, q: float, dim: int) -> bool:
     In 2d: ``p > 2`` and ``1/p + 1/q = 1/2``.  In 3d: ``p >= 2`` and
     ``2/p = 3*(1/2 - 1/q)``, which pins ``q`` between 2 and 6.
     """
-    _require_exponent("p", p)
-    _require_exponent("q", q)
+    p, q = _require_exponent("p", p), _require_exponent("q", q)
     tol = 1e-12
     if _require_dim(dim) == 2:
         return p > 2.0 and abs(1.0 / p + 1.0 / q - 0.5) <= tol

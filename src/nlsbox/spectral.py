@@ -442,12 +442,23 @@ def _pointwise(fn, rep: str, *operands) -> Field:
     return Field._adopt(operands[0].grid, fn(*arrays), rep, even)
 
 
-def _lattice_sum(fn, *operands) -> float:
-    """``fn(*arrays)`` summed over the lattice, a block by :func:`_fold_weights`
-    (see :func:`_operands`)."""
-    even, arrays = _operands(*operands)
-    values = fn(*arrays)
-    return float(np.sum(_fold_weights(operands[0].grid) * values if even else values))
+def _modulus_power(a: np.ndarray, p: float) -> np.ndarray:
+    """``|a|^p`` as ``(re^2 + im^2) ** (p/2)`` for ``p >= 2``, else as ``np.abs(a) ** p``,
+    where the square could underflow or overflow before ``|a|^p`` does."""
+    if p < 2:
+        return np.abs(a) ** p
+    sq = a.real**2 + a.imag**2
+    return sq if p == 2 else sq ** (p / 2)
+
+
+def _power_sum(p: float, f: Field, weight=None) -> float:
+    """``weight * |f|^p`` summed over the lattice, a block by :func:`_fold_weights`; ``weight``
+    is none or a symbol or mask lattice function, and off a mask an infinite ``|f|^p`` adds 0."""
+    even, (a, *w) = _operands(f, *([] if weight is None else [weight]))
+    values = _modulus_power(a, p)
+    if w:
+        values = np.where(w[0], values, 0.0) if w[0].dtype == bool else w[0] * values
+    return float(np.sum(_fold_weights(f.grid) * values if even else values))
 
 
 def _lattice_max(fn, *operands) -> float:
@@ -563,7 +574,7 @@ def dealiased_power(f: Field, degree: int) -> Field:
     """
     if (degree := _require_integer("degree", degree)) < 3 or degree % 2 == 0:
         raise DomainError(f"degree must be odd and >= 3, got {degree}")
-    out = _padded_product(f, degree, lambda u: np.abs(u) ** (degree - 1) * u)
+    out = _padded_product(f, degree, lambda u: _modulus_power(u, degree - 1) * u)
     return out if f.is_physical else forward_transform(out)
 
 
@@ -574,12 +585,7 @@ def dealiased_modulus_power(f: Field, power: int) -> Field:
     """
     if (power := _require_integer("power", power)) < 2 or power % 2:
         raise DomainError(f"power must be even and >= 2, got {power}")
-
-    def pointwise(u):
-        sq = u.real**2 + u.imag**2
-        return sq if power == 2 else sq ** (power // 2)  # ** 1 is a copy of the same bits
-
-    return _padded_product(f, power, pointwise)
+    return _padded_product(f, power, lambda u: _modulus_power(u, power))
 
 
 @dataclass(frozen=True)
@@ -651,10 +657,8 @@ def make_radial_data(grid: Grid, profile: RadialProfile) -> Field:
 
 def _mass_fraction(f: Field, where) -> float:
     """Share of the summed ``|f|^2`` on the lattice mask ``where``; 0 for a zero field."""
-    total = _lattice_sum(lambda a: np.abs(a) ** 2, f)
-    if total == 0.0:
-        return 0.0
-    return _lattice_sum(lambda a, m: np.where(m, np.abs(a) ** 2, 0.0), f, where) / total
+    total = _power_sum(2, f)
+    return 0.0 if total == 0.0 else _power_sum(2, f, where) / total
 
 
 def tail_mass_fraction(f: Field) -> float:

@@ -1,7 +1,8 @@
 """Public API: every exported name resolves, each package's ``__all__`` is
 its star-imported modules' ``__all__`` (and ``__version__``), and removed
 names stay removed; every cache the package keeps has a bound or a named
-reason to have none; every integer and real parameter goes through one rule."""
+reason to have none; every integer and real parameter goes through one rule,
+and every modulus power through ``spectral._modulus_power``."""
 
 import ast
 import importlib
@@ -155,6 +156,8 @@ PARAMETERS = {
     "dealiased_modulus_power.power": ("power", lambda v: dealiased_modulus_power(_U, v), 2),
     "low_pass.lam": ("lam", lambda v: low_pass(_U, v), 1.5),
     "high_pass.lam": ("lam", lambda v: high_pass(_U, v), 1.5),
+    "MixedNormSpec.p_time": ("p_time", lambda v: MixedNormSpec(v, 4, 0.0, 1.0), 2.0),
+    "MixedNormSpec.q_space": ("q_space", lambda v: MixedNormSpec(2, v, 0.0, 1.0), 4.0),
     "MixedNormSpec.t_start": ("t_start", lambda v: MixedNormSpec(2, 4, v, 1.0), 0.0),
     "MixedNormSpec.t_end": ("t_end", lambda v: MixedNormSpec(2, 4, 0.0, v), 1.0),
 }
@@ -180,3 +183,43 @@ def test_numeric_parameters_share_one_rule(name, call, plain):
     for bad in (True, "1", math.nan) + ((float(plain),) if is_int else ()):
         with pytest.raises(DomainError, match=name):
             call(bad)
+
+
+def _part_squared(node) -> str | None:
+    """``"real"`` or ``"imag"`` for ``x.real ** 2`` or ``x.imag ** 2``, else ``None``."""
+    squared = (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+               and getattr(node.right, "value", None) == 2)
+    return getattr(node.left, "attr", None) if squared else None
+
+
+def hand_formed_powers(tree) -> list:
+    """Lines of ``tree`` that form a modulus power by hand, ``np.abs(x) ** p``
+    or ``x.real**2 + x.imag**2``, outside a function named ``_modulus_power``."""
+    exempt = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "_modulus_power"
+              for node in ast.walk(fn)}
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and id(node) not in exempt
+        and (isinstance(node.op, ast.Pow) and isinstance(node.left, ast.Call)
+             and getattr(node.left.func, "attr", None) == "abs"
+             or isinstance(node.op, ast.Add)
+             and {_part_squared(node.left), _part_squared(node.right)} == {"real", "imag"}))
+
+
+def test_modulus_powers_follow_one_rule():
+    # The rule itself is seen by the check, and only there is it exempt.
+    snippet = "a = np.abs(u) ** p\nb = u.imag**2 + u.real**2\nc = np.abs(u) * u.real**2\n"
+    assert hand_formed_powers(ast.parse(snippet)) == [1, 2]
+    found = {}
+    for info in pkgutil.walk_packages(nlsbox.__path__, "nlsbox."):
+        with open(importlib.import_module(info.name).__file__) as fh:
+            tree = ast.parse(fh.read())
+        found[info.name] = hand_formed_powers(tree)
+        if info.name == "nlsbox.spectral":
+            rule = next(fn for fn in tree.body
+                        if isinstance(fn, ast.FunctionDef) and fn.name == "_modulus_power")
+            assert hand_formed_powers(ast.Module([rule], [])) == []
+            rule.name = "elsewhere"
+            assert len(hand_formed_powers(ast.Module([rule], []))) == 2
+    assert {name: lines for name, lines in found.items() if lines} == {}
