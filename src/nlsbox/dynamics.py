@@ -89,7 +89,8 @@ class EvolutionParams:
                        sample_every=_require_integer("sample_every", self.sample_every, low=1))
         for name, value in checked.items():
             object.__setattr__(self, name, value)
-        steps = round(self.t_final / self.dt)
+        ratio = self.t_final / self.dt
+        steps = round(ratio) if math.isfinite(ratio) else 0  # t_final / dt can overflow
         if steps < 1 or abs(steps * self.dt - self.t_final) > 1e-9 * max(1.0, self.t_final):
             raise DomainError(
                 f"t_final={self.t_final!r} is not a whole number of steps of size dt={self.dt!r}"

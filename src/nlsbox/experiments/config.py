@@ -1,6 +1,6 @@
 """Study descriptions read from INI files.
 
-A study is configured by a small INI file with a fixed vocabulary of
+A study is configured by a small UTF-8 INI file with a fixed vocabulary of
 sections and keys.  Parsing is strict on purpose: unknown sections,
 unknown or unused keys, and malformed values all raise
 :class:`ConfigError`, so a typo cannot silently change an experiment.
@@ -138,8 +138,8 @@ def load_config(path) -> StudyConfig:
     """Read and validate a study description from an INI file."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        loaded = parser.read(path)
-    except configparser.Error as exc:
+        loaded = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path!r}: {exc}") from None
     if not loaded:
         raise ConfigError(f"cannot read config file {path!r}")

@@ -353,7 +353,10 @@ def run_study(config: StudyConfig, out_dir) -> StudyReport:
         runner = STUDIES[config.name]
     except KeyError:
         raise ConfigError(f"unknown study {config.name!r}") from None
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise ConfigError(f"cannot make output directory {str(out_dir)!r}: {exc.strerror}") from None
     report = runner(config, str(out_dir))
     write_report(report, out_dir)
     return report

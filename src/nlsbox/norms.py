@@ -135,8 +135,12 @@ def weighted_radial_sup(
         with np.errstate(divide="ignore"):
             return np.where(r <= radius, r**weight_power, 0.0)
 
+    def scaled(a: np.ndarray, w: np.ndarray) -> np.ndarray:  # 0, not NaN, for 0 under weight inf
+        m = np.abs(a)
+        return (w if weight_power >= 0 else np.where(m > 0, w, 0.0)) * m
+
     weights = partial(_radial, f.grid, weight, space=True)
-    return _lattice_max(lambda a, w: w * np.abs(a), f.as_physical(), weights)
+    return _lattice_max(scaled, f.as_physical(), weights)
 
 
 def strichartz_admissible(p: float, q: float, dim: int) -> bool:

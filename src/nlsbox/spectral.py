@@ -41,16 +41,16 @@ lattice sums fold onto it, and the symbols, masks and phases an operation
 is handed as functions are gathered on it alone (the phases and the
 Sobolev and smoothing symbols once per grid), so a radial run stays on
 the block from step to step.  Non-even input and all that is made from it
-take the full-grid FFTs, on the padded grid too.
+take the full-grid FFTs, on the padded grid too, box phases by ``fftshift``.
 Up to a measured block side per dimension (``_DENSE_SIDE``: 50 in 2d, 57
 in 3d, where the slice products of :func:`_apply` stay on one OpenBLAS
 thread and beat scipy), each leg of the block path is one cached real
 matrix per axis, flips, scales, zero padding and band truncation folded
-in (:func:`_even_ops`, which alone picks the engine, and :func:`_apply`);
-beyond, ``scipy.fft``, loaded like the full-grid FFTs on first use: a
-transform is one ``dctn``, a padded leg one ``dct`` per axis on only the
-lines that carry data (:func:`_dct1_lines`; Bowman & Roberts, SIAM J. Sci.
-Comput. 2011).
+in (:func:`_even_ops`, which alone picks the engine), applied in one layout
+to every block, 2d and 3d (:func:`_apply`); beyond, ``scipy.fft``, loaded
+like the full-grid FFTs on first use: a transform is one ``dctn``, a padded
+leg one ``dct`` per axis on only the lines that carry data
+(:func:`_dct1_lines`; Bowman & Roberts, SIAM J. Sci. Comput. 2011).
 """
 
 from __future__ import annotations
@@ -201,15 +201,6 @@ def _radial(grid: Grid, fn, block: bool = False, space: bool = False) -> np.ndar
     return np.broadcast_to(fn(radii), radii.shape)[_mode_norm_sq(grid, space, block)]
 
 
-# A non-even run's coarse and padded grids, 8 n^d bytes each (16 MiB at 128^3).
-@lru_cache(maxsize=4)
-def _checkerboard(grid: Grid) -> np.ndarray:
-    """``(-1)^(j1+...+jd)``, a product of one sign per axis, converting FFT
-    phases to box phases; it equals ``(-1)^|m|^2`` in FFT order (``m_i = j_i`` mod 2)."""
-    sign = 1.0 - 2.0 * (np.arange(grid.points) % 2)
-    return _readonly(math.prod(np.meshgrid(*([sign] * grid.dim), indexing="ij", sparse=True)))
-
-
 class Field:
     """Immutable complex samples on a grid, tagged physical or frequency.
 
@@ -335,20 +326,16 @@ def _inverse_scale(g: Grid) -> float:
 
 def _apply(op: tuple, x: np.ndarray) -> np.ndarray:
     """The matrix ``a`` of ``op = (a, kron(a.T, I2))``, square or not, along
-    every axis of a float64 or complex128 cubic block, fresh and C-ordered, by
-    one ``matmul`` per axis on the float64 view, whose (re, im) pairs stay put:
-    a left product, a broadcast one on a 3d middle axis, a right one by ``op[1]``;
-    past ``2^18`` multiply-adds (3d complex sides over 19), a stack of slice
-    products per axis, which OpenBLAS kept on one thread up to side 62."""
+    every axis of a float64 or complex128 cubic block, fresh and C-ordered, on
+    the float64 view, whose (re, im) pairs stay put: each axis but the last a
+    stack of ``(m' x m) @ (m x c)`` slice products (in 2d one product), the last
+    a right product by ``op[1]``; OpenBLAS keeps each on one thread up to side 62."""
     (a, pairs), cplx = op, x.dtype.kind == "c"
     z, right = (np.ascontiguousarray(x).view(np.float64), pairs) if cplx else (x, a.T)
-    if x.ndim == 2:
-        z = a @ z @ right
-    elif a.shape[0] * z.size <= 1 << 18:
-        z = (a @ z.reshape(a.shape[1], -1)).reshape((a.shape[0],) + z.shape[1:])
-        z = ((a @ z).reshape(-1, z.shape[-1]) @ right).reshape(a.shape[0], a.shape[0], -1)
-    else:  # each item one (m' x m) @ (m x c) slice; the two swaps restore the axis order
-        z = np.matmul(a, np.matmul(a, z.transpose(1, 0, 2)).transpose(1, 0, 2)) @ right
+    for axis in range(x.ndim - 2):  # the swaps restore the axis order
+        z = np.matmul(a, z.swapaxes(axis, -2)).swapaxes(axis, -2)
+    z = a @ z  # the middle axis, unswapped; its own statement frees a block for the last product
+    z = z @ right
     return z.view(np.complex128) if cplx else z
 
 
@@ -379,7 +366,7 @@ def _even_ops(g: Grid, factors: int = 0) -> tuple | None:
     if factors:
         (cf, step), inverse, half = dct1(fine), mats[1], g.points // 2
         spread = cf[:, :half] / (step * fine.points)
-        mats = spread @ np.eye(half, half + 1), inverse[:, :half] @ (step * cf[:half])
+        mats = np.pad(spread, ((0, 0), (0, 1))), inverse[:, :half] @ (step * cf[:half])
     return tuple((_readonly(a), _readonly(np.kron(a.T, np.eye(2)))) for a in mats)
 
 
@@ -467,11 +454,11 @@ def _lattice_max(fn, *operands) -> float:
 
 
 def _forward(g: Grid, a: np.ndarray) -> np.ndarray:
-    """The spectrum of samples ``a`` on ``g``, or of the ``[0, n/2]^d`` block
-    ``a`` of an even field as its block: reversed, the block runs over x = 0..L/2
-    from the box centre, so its DCT-I is the box-phase spectrum."""
+    """The spectrum of samples ``a`` on ``g``, shifted so x = 0 leads, or of the
+    ``[0, n/2]^d`` block ``a`` of an even field as its block: reversed, the block
+    runs over x = 0..L/2 from the box centre, so its DCT-I is the box-phase spectrum."""
     if a.shape[0] == g.points:
-        return _forward_scale(g) * (_checkerboard(g) * scipy.fft.fftn(a))
+        return _forward_scale(g) * scipy.fft.fftn(np.fft.ifftshift(a))
     if ops := _even_ops(g):
         return _apply(ops[0], a)
     return scipy.fft.dctn(np.flip(a), type=1) * _forward_scale(g)
@@ -480,7 +467,7 @@ def _forward(g: Grid, a: np.ndarray) -> np.ndarray:
 def _inverse(g: Grid, a: np.ndarray) -> np.ndarray:
     """The inverse of :func:`_forward`, on samples or on a block alike."""
     if a.shape[0] == g.points:
-        return _inverse_scale(g) * scipy.fft.ifftn(_checkerboard(g) * a)
+        return _inverse_scale(g) * np.fft.fftshift(scipy.fft.ifftn(a))
     if ops := _even_ops(g):
         return _apply(ops[1], a)
     return np.flip(scipy.fft.dctn(a, type=1) * (_inverse_scale(g) / g.size))

@@ -123,7 +123,7 @@ def test_every_cache_is_bounded_or_named():
                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                       and any(_is_cache(d) for d in node.decorator_list)}
     # Every cache decorator in the sources is a module-level cache found above.
-    assert decorated == set(found) and "nlsbox.spectral._checkerboard" in found
+    assert decorated == set(found) and "nlsbox.spectral._mode_norm_sq" in found
     assert {name for name, maxsize in found.items() if maxsize is None} == UNBOUNDED_CACHES
 
 

@@ -255,6 +255,17 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config("/no/such/file.ini")
 
+    def test_text_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "a.ini"
+        path.write_bytes(SWEEP_TEXT.encode() + b"# \xff\n")
+        with pytest.raises(ConfigError, match="cannot parse"):
+            load_config(str(path))
+
+    def test_step_count_that_overflows(self, tmp_path):
+        text = SWEEP_TEXT.replace("dt = 0.01", "dt = 1e-320")
+        with pytest.raises(ConfigError, match=r"\[evolution\]: t_final=.* whole number of steps"):
+            load_config(write_config(tmp_path / "a.ini", text))
+
     def test_unknown_study_name(self, tmp_path):
         text = SWEEP_TEXT.replace("name = sweep-n", "name = sweeep")
         with pytest.raises(ConfigError, match="unknown study"):
@@ -662,6 +673,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"error: [study] seed = {seed}: must be at most" in err
         assert str(seed * 1_000_003) not in err and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("body", [CONSERVE_TEXT.encode() + b"# \xff\n",
+                                      CONSERVE_TEXT.replace("dt = 0.01", "dt = 1e-320").encode()],
+                             ids=["not_utf8", "dt_overflow"])
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, body):
+        path = tmp_path / "a.ini"
+        path.write_bytes(body)
+        code = main(["conserve", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("out", ["afile/sub", "afile"])
+    def test_out_that_cannot_be_a_directory_exit_code(self, tmp_path, capsys, monkeypatch, out):
+        # A regular file where the directory or its parent should be: refused
+        # before anything is evolved.
+        calls = []
+        monkeypatch.setattr(studies, "evolve", lambda *a, **kw: calls.append(a))
+        (tmp_path / "afile").write_text("")
+        config = write_config(tmp_path / "a.ini", CONSERVE_TEXT)
+        code = main(["conserve", "--config", config, "--out", str(tmp_path / out)])
+        assert code == 3 and calls == []
+        assert "error: cannot make output directory" in capsys.readouterr().err
 
     def test_mismatched_subcommand(self, tmp_path, capsys):
         config = write_config(tmp_path / "a.ini", CONSERVE_TEXT)

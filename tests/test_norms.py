@@ -3,6 +3,7 @@ interpolation consistency, mixed space-time norms on synthetic
 trajectories, admissibility table."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -245,6 +246,19 @@ class TestWeightedRadialSup:
         direct = float((r[inside] ** power * u[inside]).max())
         assert weighted_radial_sup(f, power, radius) == direct
         assert weighted_radial_sup(f, power, radius) <= weighted_radial_sup(f, power)
+
+    def test_negative_power_counts_a_zero_at_the_origin_as_zero(self, grid2d_medium):
+        # The origin's weight is inf: a zero there once gave inf * 0 = NaN.
+        zero = Field.physical(grid2d_medium, np.zeros(grid2d_medium.shape))
+        r = grid2d_medium.space_radius()
+        ring = Field.physical(grid2d_medium, r**2 * np.exp(-(r**2)))
+        away = r > 0
+        direct = float((r[away] ** -1.0 * np.abs(ring.samples[away])).max())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert weighted_radial_sup(zero, -1.0) == 0.0
+            assert weighted_radial_sup(ring, -1.0) == direct
+            assert weighted_radial_sup(gaussian(grid2d_medium), -1.0) == math.inf
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf, True])
     def test_radius_validation(self, grid2d_medium, radius):

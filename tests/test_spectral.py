@@ -260,19 +260,25 @@ class TestField:
             inverse_transform(a)
 
 
+# A power-of-two side and sides that are not, whose FFTs take other radix kernels.
+DIRECT_SUMMATION_GRIDS = [pytest.param(2, 16, id="2"), pytest.param(3, 16, id="3"),
+                          pytest.param(2, 18, id="18^2"), pytest.param(2, 36, id="36^2"),
+                          pytest.param(3, 18, id="18^3")]
+
+
 class TestTransforms:
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_forward_matches_direct_summation(self, dim):
-        grid = Grid(dim, 16.0, 16)
+    @pytest.mark.parametrize("dim,points", DIRECT_SUMMATION_GRIDS)
+    def test_forward_matches_direct_summation(self, dim, points):
+        grid = Grid(dim, 16.0, points)
         f = random_field(grid, seed=11 + dim)
         impl = forward_transform(f).samples
         oracle = direct_forward(f)
         scale = np.abs(oracle).max()
         assert np.abs(impl - oracle).max() <= 1e-12 * scale
 
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_inverse_matches_direct_summation(self, dim):
-        grid = Grid(dim, 16.0, 16)
+    @pytest.mark.parametrize("dim,points", DIRECT_SUMMATION_GRIDS)
+    def test_inverse_matches_direct_summation(self, dim, points):
+        grid = Grid(dim, 16.0, points)
         spec = random_field(grid, seed=23 + dim).as_frequency()
         impl = inverse_transform(spec).samples
         oracle = direct_inverse(spec)
@@ -658,8 +664,8 @@ class TestEvenSector:
     @pytest.mark.parametrize("dim", [2, 3], ids=["2d", "3d"])
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["real", "complex"])
     def test_dense_dct1_matches_dctn(self, monkeypatch, dim, dtype):
-        # Every side up to the largest dense one, real blocks too; in 3d the
-        # single products up to side 19 and the stacked ones beyond.
+        # Every side up to the largest dense one, real blocks too, each axis
+        # a stack of slice products.
         largest = DENSE_SIDE[dim]
         sides = range(3, largest + 1)
         rng = np.random.default_rng(dim)
@@ -818,7 +824,7 @@ class TestLatticeCaches:
     def test_full_lattice_caches_stay_bounded(self):
         # Non-even products and full-lattice radii on more grids than the
         # caches hold: each keeps its bound and still hits for the grid in use.
-        caches = (spectral._checkerboard, spectral._mode_norm_sq)
+        caches = (spectral._mode_norm_sq,)
         for cache in caches:
             cache.cache_clear()
         grids = [Grid(2, 8.0, n) for n in (8, 12, 16, 20, 24)] + [Grid(3, 4.0, 8), Grid(3, 4.0, 12)]
@@ -828,7 +834,8 @@ class TestLatticeCaches:
             dealiased_power(u, 3)
             dealiased_modulus_power(u, 2)
             tail_mass_fraction(u)
-            assert spectral._checkerboard(grid) is spectral._checkerboard(grid)
+            key = (grid, True, False)  # the radii tail_mass_fraction reads
+            assert spectral._mode_norm_sq(*key) is spectral._mode_norm_sq(*key)
         for cache in caches:
             info = cache.cache_info()
             assert info.maxsize is not None and info.misses > info.maxsize
