@@ -137,7 +137,7 @@ def weighted_radial_sup(
 
     def scaled(a: np.ndarray, w: np.ndarray) -> np.ndarray:  # 0, not NaN, for 0 under weight inf
         m = np.abs(a)
-        return (w if weight_power >= 0 else np.where(m > 0, w, 0.0)) * m
+        return np.where(m > 0, w, 0.0) * m
 
     weights = partial(_radial, f.grid, weight, space=True)
     return _lattice_max(scaled, f.as_physical(), weights)
