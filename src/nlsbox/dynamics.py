@@ -326,7 +326,11 @@ def read_checkpoint(directory: str) -> Trajectory:
     """Reload a trajectory written by :func:`write_checkpoint`."""
     path = os.path.join(directory, "manifest.ini")
     manifest = configparser.ConfigParser(interpolation=None)
-    if not manifest.read(path, encoding="utf-8"):
+    try:
+        found = manifest.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise DomainError(f"malformed checkpoint manifest at {path}: {exc}") from exc
+    if not found:
         raise DomainError(f"no checkpoint manifest at {path}")
     try:
         evo = manifest["evolution"]

@@ -583,6 +583,16 @@ class TestCheckpoint:
         with pytest.raises(DomainError):
             read_checkpoint(str(tmp_path / "nowhere"))
 
+    @pytest.mark.parametrize("text", [
+        b"count = 1\n",  # no section header
+        b"[run]\ncount = 1\ncount = 2\n",  # a repeated key
+        b"[run]\ncount = \xff\n",  # not UTF-8
+    ], ids=["no_section", "repeated_key", "not_utf8"])
+    def test_unparsable_manifest(self, tmp_path, text):
+        (tmp_path / "manifest.ini").write_bytes(text)
+        with pytest.raises(DomainError, match="malformed checkpoint manifest"):
+            read_checkpoint(str(tmp_path))
+
     @pytest.mark.parametrize("key", ["count", "warning_count", "dealias"])
     def test_manifest_without_run_key(self, tmp_path, key):
         grid = Grid(2, 16.0, 32)

@@ -1057,6 +1057,39 @@ class TestSerialization:
         ]
         assert rows[8:] == rows[:8]
 
+    def test_text_is_repr_layout_for_every_class(self):
+        # Random bit patterns (over two text chunks), the extremes, and every
+        # power of ten from 1e-12 to 1e20 with its neighbours, where orjson's
+        # layout and repr's part: a change in either fails here.
+        bits = np.random.default_rng(28).integers(0, 2**64, 150_000, np.uint64, endpoint=False)
+        finite = bits.view(np.float64)[np.isfinite(bits.view(np.float64))]
+        tens = np.array([float(f"1e{k}") for k in range(-12, 21)])
+        edges = [np.nextafter(tens, 0.0), tens, np.nextafter(tens, np.inf)]
+        extremes = [0.0, -0.0, 5e-324, -5e-324, np.finfo(np.float64).max, -np.finfo(np.float64).max]
+        x = np.concatenate([finite[: finite.size // 2 * 2], *edges, -np.concatenate(edges), extremes])
+        assert x.size % 2 == 0 and x.size > spectral._TEXT_CHUNK
+        pairs = iter(x.tolist())
+        expected = "".join(f"{a!r} {b!r}\n" for a, b in zip(pairs, pairs))
+        assert "".join(spectral._rows(x.view(np.complex128))) == expected
+
+    def test_only_a_write_loads_orjson(self, tmp_path):
+        # A fresh interpreter: the test process may have orjson loaded already.
+        script = f"""
+import sys
+from nlsbox import EvolutionParams, Grid, RadialProfile, evolve, make_radial_data, write_field
+grid = Grid(2, 16.0, 32)
+datum = make_radial_data(grid, RadialProfile("gaussian", 1.2, 2.0))
+traj = evolve(datum, EvolutionParams(dim=2, k=1, dt=1e-3, t_final=0.01, sample_every=5))
+print("orjson" in sys.modules)
+write_field(traj.final, {str(tmp_path / "state.field")!r})
+print("orjson" in sys.modules)
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(nlsbox.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["False", "True"]
+
     @staticmethod
     def reference_bytes(f):
         # The file format spelled out row by row, one repr per float.
