@@ -60,6 +60,9 @@ __all__ = [
 ]
 
 _GROWTH_LIMIT = 1.0e6
+# The most steps one run may take: 5,000 times the 2e4 of CONSERVE's dt-halved
+# rerun, so a tiny dt is refused when the config is read, not run for ever.
+_MAX_STEPS = 10**8
 _TAIL_WARN_FRACTION = 1.0e-4
 _TAIL_BAND_START = 2.0 / 3.0
 
@@ -94,6 +97,11 @@ class EvolutionParams:
         if steps < 1 or abs(steps * self.dt - self.t_final) > 1e-9 * max(1.0, self.t_final):
             raise DomainError(
                 f"t_final={self.t_final!r} is not a whole number of steps of size dt={self.dt!r}"
+            )
+        if steps > _MAX_STEPS:
+            raise DomainError(
+                f"t_final={self.t_final!r} takes {steps:.3g} steps of size dt={self.dt!r}, "
+                f"more than {_MAX_STEPS:.0e}"
             )
 
     def step_count(self) -> int:

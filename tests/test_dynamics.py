@@ -86,6 +86,12 @@ class TestParams:
             EvolutionParams(2, 1, 0.01, 0.095)
         assert EvolutionParams(2, 1, 0.01, 0.1).step_count() == 10
 
+    @pytest.mark.parametrize("dt", [1e-12, 1e-300])
+    def test_step_count_is_bounded(self, dt):
+        with pytest.raises(DomainError, match="more than 1e\\+08"):
+            EvolutionParams(2, 1, dt, 1.0)
+        assert EvolutionParams(2, 1, 1e-8, 1.0).step_count() == 10**8
+
     @pytest.mark.parametrize("dt,t_final", [(1e-320, 1.0), (5e-324, 1e300)])
     def test_overflowing_step_count_is_a_domain_error(self, dt, t_final):
         # t_final / dt is inf, which round() refused with OverflowError.

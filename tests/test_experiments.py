@@ -266,6 +266,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"\[evolution\]: t_final=.* whole number of steps"):
             load_config(write_config(tmp_path / "a.ini", text))
 
+    @pytest.mark.parametrize("dt", ["1e-12", "1e-300"])
+    def test_step_count_above_the_bound(self, tmp_path, dt):
+        text = SWEEP_TEXT.replace("dt = 0.01", f"dt = {dt}")
+        with pytest.raises(ConfigError, match=r"\[evolution\]: t_final=.* steps .* more than 1e\+08"):
+            load_config(write_config(tmp_path / "a.ini", text))
+
     def test_unknown_study_name(self, tmp_path):
         text = SWEEP_TEXT.replace("name = sweep-n", "name = sweeep")
         with pytest.raises(ConfigError, match="unknown study"):
@@ -675,8 +681,9 @@ class TestCli:
         assert str(seed * 1_000_003) not in err and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("body", [CONSERVE_TEXT.encode() + b"# \xff\n",
-                                      CONSERVE_TEXT.replace("dt = 0.01", "dt = 1e-320").encode()],
-                             ids=["not_utf8", "dt_overflow"])
+                                      CONSERVE_TEXT.replace("dt = 0.01", "dt = 1e-320").encode(),
+                                      CONSERVE_TEXT.replace("dt = 0.01", "dt = 1e-12").encode()],
+                             ids=["not_utf8", "dt_overflow", "too_many_steps"])
     def test_unreadable_config_exit_code(self, tmp_path, capsys, body):
         path = tmp_path / "a.ini"
         path.write_bytes(body)

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import os
 import pickle
+import struct
 import subprocess
 import sys
 from functools import partial
@@ -1140,9 +1141,10 @@ print("orjson" in sys.modules)
         assert path.read_bytes() == self.reference_bytes(f)
         half = f.grid.points // 2 + 1
         assert formatted == [half**f.grid.dim if block else f.grid.size]
-        parsed = self.count_parsed_rows(monkeypatch)
+        parsed, texts = self.count_parsed_rows(monkeypatch), self.count_text_reads(monkeypatch)
         assert read_field(path).samples.tobytes() == f.samples.tobytes()
         assert parsed == [half**f.grid.dim if block else f.grid.size]
+        assert texts == []  # the writer's file takes the orjson parse, with no text read
 
     @pytest.mark.parametrize("grid", [Grid(2, 16.0, 64), Grid(3, 8.0, 16)], ids=["64^2", "16^3"])
     @pytest.mark.parametrize("rep", ["physical", "frequency"])
@@ -1163,16 +1165,29 @@ print("orjson" in sys.modules)
 
     @staticmethod
     def count_parsed_rows(monkeypatch):
-        # The number of rows each np.loadtxt call is handed.
+        # The number of rows each call of the single parse step, the binary
+        # read's orjson parse, is handed.
         parsed = []
 
-        def counted(rows, *args, _loadtxt=np.loadtxt, **kwargs):
+        def counted(rows, count, _parse=spectral._parse):
             rows = list(rows)
             parsed.append(len(rows))
-            return _loadtxt(rows, *args, **kwargs)
+            return _parse(rows, count)
+
+        monkeypatch.setattr(spectral, "_parse", counted)
+        return parsed
+
+    @staticmethod
+    def count_text_reads(monkeypatch):
+        # One entry per np.loadtxt call: a read that left the writer's grammar.
+        texts = []
+
+        def counted(*args, _loadtxt=np.loadtxt, **kwargs):
+            texts.append(True)
+            return _loadtxt(*args, **kwargs)
 
         monkeypatch.setattr(np, "loadtxt", counted)
-        return parsed
+        return texts
 
     @staticmethod
     def whole_body_read(path):
@@ -1197,6 +1212,125 @@ print("orjson" in sys.modules)
         monkeypatch.undo()
         assert samples.tobytes() == self.whole_body_read(path).tobytes()
         assert np.array_equal(spectral._unfold(spectral._block(samples), 64), samples)
+
+    # Edits of one row (every mirror of it in an even body): tokens, then
+    # separators.  Each either stays inside JSON's numbers (the orjson parse
+    # must read what float() reads) or leaves them (the text read takes over).
+    GRAMMAR_EDITS = {
+        **{name: (lambda row, tok=tok: tok + row[row.index(b" "):]) for name, tok in [
+            ("leading_point", b".5"), ("trailing_point", b"1."), ("plus", b"+1"),
+            ("capital_e", b"1E5"), ("minus_zero_int", b"-0"), ("minus_zero", b"-0.0"),
+            ("underflow", b"-1e-400"), ("overflow", b"1e400"), ("nan", b"nan"),
+            ("null", b"null"), ("quoted", b'"0.5"'), ("bracketed", b"[1]"),
+            ("above_2_64", b"18446744073709551617"), ("not_utf8", b"1.0\xff"),
+        ]},
+        "true_false": lambda row: b"true false\n",
+        "tab": lambda row: row.replace(b" ", b"\t"),
+        "two_spaces": lambda row: row.replace(b" ", b"  "),
+        "crlf": lambda row: row[:-1] + b"\r\n",
+        "lone_cr": lambda row: row[:-1] + b"\r",
+        # "a\nb " before the next row "c d\n": rows of one and three tokens.
+        "swapped_separators": lambda row: row[:-1].replace(b" ", b"\n") + b" ",
+    }
+    # The edits that stay JSON numbers, so the orjson parse reads the file.
+    JSON_EDITS = {"capital_e", "minus_zero_int", "minus_zero", "underflow", "above_2_64"}
+
+    @staticmethod
+    def text_read(path):
+        # The reader as the text mode runs it, np.loadtxt on str rows, with
+        # its block/whole decision: a Field, or the type of what it raises.
+        try:
+            return spectral._read(path, binary=False)
+        except Exception as exc:
+            return type(exc)
+
+    @pytest.mark.parametrize("body", ["even_16^3", "random_64^2"])
+    @pytest.mark.parametrize("edit", [*GRAMMAR_EDITS, "no_final_newline", "trailing_token"])
+    def test_grammar_boundary_reads_as_text_read(self, monkeypatch, tmp_path, body, edit):
+        if body.startswith("even"):
+            f, (j, k, l) = TestEvenSector.even_field(Grid(3, 8.0, 16)), (3, 5, 6)
+            at = {16 * (16 * a + b) + c for a in (j, 16 - j) for b in (k, 16 - k) for c in (l, 16 - l)}
+        else:
+            f, at = random_field(Grid(2, 16.0, 64), seed=5), {64 * 3 + 5}
+        path = tmp_path / "state.field"
+        write_field(f, path)
+        header, *rows = path.read_bytes().splitlines(keepends=True)
+        if edit == "no_final_newline":
+            rows[-1] = rows[-1][:-1]
+        elif edit == "trailing_token":
+            rows[-1] += b"12"
+        else:
+            rows = [self.GRAMMAR_EDITS[edit](row) if i in at else row for i, row in enumerate(rows)]
+        path.write_bytes(header + b"".join(rows))
+        want = self.text_read(path)
+        texts = self.count_text_reads(monkeypatch)
+        if not isinstance(want, Field):
+            with pytest.raises(want):
+                read_field(path)
+            return
+        got = read_field(path)
+        assert (texts == []) == (edit in self.JSON_EDITS)
+        assert got.samples.tobytes() == want.samples.tobytes()
+        assert (got._half is None) == (want._half is None)
+        assert got.samples.tobytes() == self.whole_body_read(path).tobytes()
+
+    @pytest.mark.parametrize("header", [
+        b"2 64 16.0 physical\r\n", b"2 64\r16.0 physical\n", b"2 64 16.0\tphysical\n",
+        b"2 64 16.0\xc2\xa0physical\n", b"2 64 16.0\x1cphysical\n", b"2 64 16.0 physical \xff\n",
+        b"2 64 16.0\x85physical\n",
+    ], ids=["crlf", "lone_cr", "tab", "nbsp", "file_separator", "not_utf8", "latin1_next_line"])
+    def test_header_boundary_reads_as_text_read(self, tmp_path, header):
+        path = tmp_path / "state.field"
+        write_field(random_field(Grid(2, 16.0, 64), seed=5), path)
+        path.write_bytes(header + path.read_bytes().split(b"\n", 1)[1])
+        want = self.text_read(path)
+        if not isinstance(want, Field):
+            with pytest.raises(want):
+                read_field(path)
+            return
+        assert read_field(path).samples.tobytes() == want.samples.tobytes()
+
+    @staticmethod
+    def assert_parses_as_float(tokens):
+        # The binary read's parse step, on rows of two tokens, against float().
+        tokens = list(tokens) + ["0.0"] * (len(tokens) % 2)
+        rows = [f"{a} {b}\n".encode() for a, b in zip(tokens[0::2], tokens[1::2])]
+        got = spectral._parse(rows, len(rows)).reshape(-1)
+        want = np.array([float(t) for t in tokens])
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_parse_is_float_on_random_bits(self):
+        bits = np.random.default_rng(29).integers(0, 2**64, 40_000, np.uint64, endpoint=False)
+        x = bits.view(np.float64)[np.isfinite(bits.view(np.float64))].tolist()
+        self.assert_parses_as_float([repr(v) for v in x] + ["%.25e" % v for v in x])
+
+    def test_parse_is_float_on_edge_tokens(self):
+        zeros = [sign + digits + exp for sign in ("", "-") for digits in ("0", "0.0", "0.000")
+                 for exp in ("", "e0", "E+5", "e-400")]
+        self.assert_parses_as_float([
+            *zeros, "1e-400", "-1e-400",
+            "1.00000000000000011102230246251565404236316680908203125",  # 1 + 2^-53: ties to 1.0
+            "1.00000000000000011102230246251565404236316680908203126",
+            "2.4703282292062328e-324", "2.4703282292062327e-324",  # either side of 2^-1075
+            "1.7976931348623157e308", "9007199254740993", "18446744073709551617",
+        ])
+
+    @staticmethod
+    def decimal_token(sign, digits, point, exponent):
+        # A JSON number of 20-40 digits: the point anywhere, or none.
+        whole, fraction = digits[:point].lstrip("0") or "0", digits[point:]
+        return sign + whole + ("." + fraction if fraction else "") + exponent
+
+    @settings(max_examples=100, deadline=None)
+    @given(tokens=st.lists(st.one_of(
+        st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", b.to_bytes(8, "little"))[0])
+        .filter(math.isfinite).flatmap(lambda v: st.sampled_from([repr(v), "%.25e" % v])),
+        st.builds(decimal_token, st.sampled_from(["", "-"]), st.text("0123456789", min_size=20, max_size=40),
+                  st.integers(0, 40), st.sampled_from(["", "e", "E-", "e+"]).flatmap(
+                      lambda e: st.integers(0, 330).map(lambda k: e and f"{e}{k}"))),
+    ).filter(lambda t: math.isfinite(float(t))), min_size=1, max_size=64))
+    def test_parse_is_float(self, tokens):
+        self.assert_parses_as_float(tokens)
 
     @pytest.mark.parametrize("edit,outcome", [
         ("no_final_newline", "even"), ("changed_row_in_last_slab", "not_even"),
@@ -1262,9 +1396,10 @@ print("orjson" in sys.modules)
         f = Field.physical(f.grid, f.samples * ramp)
         path = tmp_path / "state.field"
         write_field(f, path)
-        parsed = self.count_parsed_rows(monkeypatch)
+        parsed, texts = self.count_parsed_rows(monkeypatch), self.count_text_reads(monkeypatch)
         assert read_field(path).samples.tobytes() == f.samples.tobytes()
         assert parsed == [16**3]
+        assert texts == []
 
     @pytest.mark.parametrize("points", [4, 64])
     def test_empty_body_raises_without_warning(self, tmp_path, recwarn, points):
