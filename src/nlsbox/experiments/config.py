@@ -9,6 +9,7 @@ unknown or unused keys, and malformed values all raise
 from __future__ import annotations
 
 import configparser
+import dataclasses
 from dataclasses import dataclass
 
 from ..dynamics import EvolutionParams
@@ -127,11 +128,21 @@ def _read(parser: configparser.ConfigParser, section: str, key: str, cast, defau
         raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from None
 
 
-def _build(values: dict, section: str, cls, **extra):
+def _build(section: str, make, **kwargs):
     try:
-        return cls(**values[section], **extra)
+        return make(**kwargs)
     except DomainError as exc:
         raise ConfigError(f"[{section}]: {exc}") from None
+
+
+def _halved(params: EvolutionParams) -> EvolutionParams:
+    """The ``conserve`` study's rerun of ``params``: the same horizon and
+    sample instants at half the step, so twice the steps."""
+    try:
+        return dataclasses.replace(params, dt=0.5 * params.dt,
+                                   sample_every=2 * params.sample_every)
+    except DomainError as exc:
+        raise DomainError(f"the rerun at dt/2: {exc}") from None
 
 
 def load_config(path) -> StudyConfig:
@@ -165,14 +176,17 @@ def load_config(path) -> StudyConfig:
         limit = ((1 << 128) - 1 - last) // _SEED_STRIDE
         raise ConfigError(f"[study] seed = {seed}: must be at most {limit}, "
                           "so that its corpus keys stay below 2**128")
-    grid = _build(values, "grid", Grid)
+    grid = _build("grid", Grid, **values["grid"])
     fields: dict = {"name": name, "seed": seed, "grid": grid}
     if "evolution" in values:
         del values["evolution"]["nonlinearity"]  # checked by its cast; the only sign
-        fields["evolution"] = _build(values, "evolution", EvolutionParams, dim=grid.dim)
+        fields["evolution"] = _build("evolution", EvolutionParams, **values["evolution"],
+                                     dim=grid.dim)
+        if name == "conserve":  # its rerun at dt/2 is refused here, not after the first run
+            _build("evolution", _halved, params=fields["evolution"])
     fields.update(values.get("imethod", {}))
     if "datum" in values:
-        fields["datum"] = _build(values, "datum", RadialProfile, seed=seed)
+        fields["datum"] = _build("datum", RadialProfile, **values["datum"], seed=seed)
     if "corpus" in values:
         fields["corpus_count"] = values["corpus"]["count"]
     return StudyConfig(**fields)

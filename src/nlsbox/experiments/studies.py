@@ -10,7 +10,6 @@ byte.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 from functools import cache, partial
@@ -38,7 +37,7 @@ from ..norms import (
     weighted_radial_sup,
 )
 from ..spectral import Field, _power_sum, _radial, inverse_transform, make_radial_data
-from .config import StudyConfig
+from .config import StudyConfig, _halved
 from .corpus import member_seed, morawetz_families, radial_corpus
 from .reports import StudyReport, stage_csv, write_report, write_rows
 
@@ -141,10 +140,7 @@ def _conserve(cfg: StudyConfig, out_dir: str) -> StudyReport:
         list(zip(trajectory.times, energies)),
     )
 
-    halved = dataclasses.replace(
-        params, dt=0.5 * params.dt, sample_every=2 * params.sample_every
-    )
-    fine = evolve(datum, halved)
+    fine = evolve(datum, _halved(params))
     mass_drift = _max_relative_drift(masses)
     drift_coarse = _max_relative_drift(energies)
     drift_fine = _max_relative_drift([energy(f, params.k) for f in fine.fields])

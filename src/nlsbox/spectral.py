@@ -239,10 +239,7 @@ class Field:
         shape = (grid.points // 2 + 1,) * grid.dim if even else grid.shape
         if arr.shape != shape:
             raise DomainError(f"samples shape {arr.shape} does not match grid {grid.shape}")
-        # One C pass; C-ordered samples allow the float64 view, twice as fast.
-        flat = arr if even else arr.view(np.float64)
-        if np.count_nonzero(np.isfinite(flat)) != flat.size:
-            raise DomainError("field samples must be finite")
+        _require_finite(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "rep", rep)
@@ -311,6 +308,14 @@ class Field:
         return f"Field(grid={self.grid!r}, rep={self.rep!r})"
 
 
+def _require_finite(a: np.ndarray) -> None:
+    """Raise DomainError unless every sample of ``a`` is finite: one C pass,
+    on the float64 view of C-ordered samples, twice as fast."""
+    flat = a.view(np.float64) if a.flags.c_contiguous else a
+    if np.count_nonzero(np.isfinite(flat)) != flat.size:
+        raise DomainError("field samples must be finite")
+
+
 def _require_rep(f: Field, rep: str, what: str) -> None:
     if f.rep != rep:
         raise RepresentationError(f"{what} expects a {rep} field, got {f.rep}")
@@ -343,7 +348,7 @@ def _apply(op: tuple, x: np.ndarray) -> np.ndarray:
 def _even_ops(g: Grid, factors: int = 0) -> tuple | None:
     """The block path's legs as read-only :func:`_apply` operators, scales in:
     :func:`_forward` and :func:`_inverse`, scipy's DCT-I with columns or rows
-    reversed; with ``factors``, a :func:`_padded_product`'s way in, the band
+    reversed; with ``factors``, a :func:`_padded` product's way in, the band
     of a spectrum's block to the padded inverse ``Af[:, :n/2]``, and its way
     out, band truncation, inverse and flip as one ``(n/2+1) x (nf/2+1)`` matrix.
 
@@ -512,34 +517,38 @@ def _padding(grid: Grid, factors: int) -> tuple:
 
 
 def _padded_product(f: Field, factors: int, pointwise) -> Field:
-    """The physical field ``pointwise(f)``, a ``factors``-fold product,
-    formed on the padded grid from the band ``[-n/2+1, n/2-1]`` of the
-    spectrum of ``f`` and truncated back to that band.
+    """The physical field :func:`_padded` makes from the spectrum of ``f``."""
+    even, (spec,) = _operands(f.as_frequency())
+    return Field._adopt(f.grid, _padded(f.grid, spec, factors, pointwise), PHYSICAL, even)
 
-    An even spectrum runs on the ``[0, n/2]^d`` blocks of both grids
-    (:func:`_even_ops`), both grid scales applied on the band; any other
-    takes :func:`_forward` and :func:`_inverse` on both grids, and a real
-    product keeps the real part, so its samples are real.
+
+def _padded(g: Grid, spec: np.ndarray, factors: int, pointwise) -> np.ndarray:
+    """The physical samples of ``pointwise(u)``, a ``factors``-fold product,
+    formed on the padded grid from the band ``[-n/2+1, n/2-1]`` of the
+    spectrum ``spec`` and truncated back to that band.
+
+    The ``[0, n/2]^d`` block of an even spectrum runs on the blocks of both
+    grids (:func:`_even_ops`), both grid scales applied on the band, and
+    gives the block of the product; the samples of any other take
+    :func:`_forward` and :func:`_inverse` on both grids, and a real product
+    keeps the real part, so its samples are real.
     """
-    g, spec = f.grid, f.as_frequency()
-    (fine, band, padded), sector = _padding(g, factors), spec._half
-    if sector is None:
+    fine, band, padded = _padding(g, factors)
+    if spec.shape[0] == g.points:
         into = np.zeros(fine.shape, dtype=np.complex128)
-        into[padded] = spec.samples[band]
+        into[padded] = spec[band]
         w = pointwise(_inverse(fine, into))
         prod = np.zeros(g.shape, dtype=np.complex128)
         prod[band] = _forward(fine, w)[padded]
         out = _inverse(g, prod)
-        return Field._adopt(g, out.real if np.isrealobj(w) else out, PHYSICAL)
+        return out.real if np.isrealobj(w) else out
     if ops := _even_ops(g, factors):
-        w = pointwise(_apply(ops[0], sector))
-        return Field._adopt(g, _apply(ops[1], w), PHYSICAL, even=True)
+        return _apply(ops[1], pointwise(_apply(ops[0], spec)))
     side, half = fine.points // 2 + 1, g.points // 2
-    kept = sector[(slice(half),) * g.dim]  # the band, [0, n/2) per axis of the block
+    kept = spec[(slice(half),) * g.dim]  # the band, [0, n/2) per axis of the block
     w = pointwise(_dct1_lines(kept * (_inverse_scale(fine) / fine.size), side))
     scale_out = _forward_scale(fine) * _inverse_scale(g) / g.size
-    prod = _dct1_lines(scale_out * _dct1_lines(w, side, half), half + 1)
-    return Field._adopt(g, np.flip(prod), PHYSICAL, even=True)
+    return np.flip(_dct1_lines(scale_out * _dct1_lines(w, side, half), half + 1))
 
 
 def _dct1_lines(x: np.ndarray, side: int, keep: int | None = None) -> np.ndarray:

@@ -3,6 +3,7 @@ oracle for the full semi-discrete system, splitting order checks, exact
 mass conservation, reversal symmetry, health guards, checkpoint IO."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -346,6 +347,68 @@ class TestStepComposition:
         assert got.samples.tobytes() == want.samples.tobytes()
 
 
+# The step paths of STEP_PATHS and an even 16^3 field on dense DCT-I matrices.
+EVOLVE_PATHS = pytest.mark.parametrize(
+    "grid,even", STEP_PATHS.args[1] + [(Grid(3, 8.0, 16), True)],
+    ids=STEP_PATHS.kwargs["ids"] + ["even_dense_16^3"])
+
+
+class TestArraySteps:
+    """``evolve`` steps on plain arrays between samples and takes the step
+    that lands on each sample instant through ``strang_step``."""
+
+    # A width-2 Gaussian does not fit the 16^3 box; only the bits matter here.
+    @pytest.mark.filterwarnings("ignore::nlsbox.errors.UndersamplingWarning")
+    @EVOLVE_PATHS
+    @pytest.mark.parametrize("dealias", [True, False], ids=["dealias", "plain"])
+    def test_samples_equal_a_strang_step_loop_bit_for_bit(self, grid, even, dealias):
+        # Seven steps sampled every third: the last interval is partial.
+        spec = _step_input(grid, even)
+        params = EvolutionParams(grid.dim, 1, 0.01, 0.07, sample_every=3, dealias=dealias)
+        want, u = [(0.0, spec.as_physical())], spec
+        for i in range(1, 8):
+            u = strang_step(u, params)
+            if i % 3 == 0 or i == 7:
+                want.append((i * 0.01, u.as_physical()))
+        traj = evolve(spec, params)
+        assert traj.times == tuple(t for t, _ in want)
+        for (_, got), (_, ref) in zip(traj, want):
+            assert isinstance(got._half, np.ndarray) == even
+            assert got.samples.tobytes() == ref.samples.tobytes()
+
+    @STEP_PATHS
+    @pytest.mark.parametrize("dealias", [True, False], ids=["dealias", "plain"])
+    def test_only_sample_steps_build_fields(self, monkeypatch, grid, even, dealias):
+        # Ten steps sampled every fifth: steps 5 and 10 call the public
+        # sub-flows, which the benchmark's traced expected calls rely on,
+        # and no field is held in the four array steps before each.
+        calls, events = [], []
+        for name in ("linear_flow", "nonlinear_phase", "dealiased_modulus_power"):
+            def counted(*args, _name=name, _fn=getattr(dynamics, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(dynamics, name, counted)
+
+        def held(field, *args, _fn=Field._hold, **kwargs):
+            events.append("H")
+            _fn(field, *args, **kwargs)
+
+        def kernel(*args, _fn=dynamics._strang_arrays):
+            events.append("(")
+            out = _fn(*args)
+            events.append(")")
+            return out
+
+        monkeypatch.setattr(Field, "_hold", held)
+        monkeypatch.setattr(dynamics, "_strang_arrays", kernel)
+        spec = _step_input(grid, even)
+        step = ["linear_flow", "nonlinear_phase"]
+        step += ["dealiased_modulus_power"] * dealias + ["linear_flow"]
+        evolve(spec, EvolutionParams(2, 1, 0.01, 0.1, sample_every=5, dealias=dealias))
+        assert calls == step * 2
+        assert re.fullmatch(r"H*(\(\)){4}H+(\(\)){4}H+", "".join(events))
+
+
 class TestLatticeSymmetry:
     # A resolved Gaussian on 16^3 does not fit its box; the marginal
     # resolution is beside the point here.
@@ -473,17 +536,28 @@ class TestGuards:
         with pytest.raises(InstabilityError):
             evolve(f, EvolutionParams(2, 2, 0.01, 0.02))
 
-    # A constant field is even, so every case runs on the [0, n/2]^d block:
-    # 16^2, 32^2 and 16^3 with dense DCT matrices, 128^2 with scipy's DCT,
-    # 64^2 with dense coarse and scipy's padded blocks.
-    @pytest.mark.parametrize("dim,points,k", [(2, 16, 2), (2, 32, 1), (2, 64, 2), (3, 16, 1),
-                                              (2, 128, 1)],
-                             ids=["16", "32", "64", "16^3", "128"])
-    def test_instability_names_the_first_step_between_samples(self, dim, points, k):
+    # A constant field is even, so it runs on the [0, n/2]^d block: 16^2,
+    # 32^2 and 16^3 with dense DCT matrices, 128^2 with scipy's DCT, 64^2
+    # with dense coarse and scipy's padded blocks; one changed sample makes
+    # it non-even, on the full-grid FFTs.  Each with and without dealiasing.
+    @pytest.mark.parametrize("dim,points,k,even,dealias", [
+        (2, 16, 2, True, True), (2, 32, 1, True, True), (2, 64, 2, True, True),
+        (3, 16, 1, True, True), (2, 128, 1, True, True),
+        (2, 16, 2, True, False), (3, 16, 1, True, False), (2, 128, 1, True, False),
+        (2, 32, 1, False, True), (2, 32, 1, False, False),
+    ], ids=["16", "32", "64", "16^3", "128", "16_plain", "16^3_plain", "128_plain",
+            "32_non_even", "32_non_even_plain"])
+    def test_instability_names_the_first_step_between_samples(self, dim, points, k, even,
+                                                              dealias):
         grid = Grid(dim, 16.0, points)
-        f = Field.physical(grid, np.full(grid.shape, 1e200 + 0j))
-        with pytest.raises(InstabilityError, match=r"near t=0\.01$"):
-            evolve(f, EvolutionParams(dim, k, 0.01, 0.1, sample_every=5))
+        samples = np.full(grid.shape, 1e200 + 0j)
+        if not even:
+            samples[(0,) * (dim - 1) + (1,)] = 5e199
+        f = Field.physical(grid, samples)
+        assert isinstance(f._half, np.ndarray) == even
+        text = r"^step produced a non-finite field \(field samples must be finite\) near t=0\.01$"
+        with pytest.raises(InstabilityError, match=text):
+            evolve(f, EvolutionParams(dim, k, 0.01, 0.1, sample_every=5, dealias=dealias))
 
     def test_marginally_resolved_data_warns_once(self):
         grid = Grid(2, 16.0, 32)

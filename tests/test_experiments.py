@@ -272,6 +272,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"\[evolution\]: t_final=.* steps .* more than 1e\+08"):
             load_config(write_config(tmp_path / "a.ini", text))
 
+    def test_conserve_rerun_step_count_above_the_bound(self, tmp_path):
+        # 6e7 steps pass the bound, but conserve reruns them at dt/2 (1.2e8);
+        # a sweep with the same [evolution] runs once and loads.
+        evolution = "dt = 1e-8\nt_final = 0.6"
+        conserve = CONSERVE_TEXT.replace("dt = 0.01\nt_final = 0.2", evolution)
+        with pytest.raises(ConfigError, match=r"^\[evolution\]: the rerun at dt/2: t_final=0\.6 "
+                                              r"takes 1\.2e\+08 steps .* more than 1e\+08$"):
+            load_config(write_config(tmp_path / "a.ini", conserve))
+        sweep = SWEEP_TEXT.replace("dt = 0.01\nt_final = 0.1", evolution)
+        loaded = load_config(write_config(tmp_path / "b.ini", sweep))
+        assert loaded.evolution.step_count() == 6 * 10**7
+
     def test_unknown_study_name(self, tmp_path):
         text = SWEEP_TEXT.replace("name = sweep-n", "name = sweeep")
         with pytest.raises(ConfigError, match="unknown study"):
@@ -690,6 +702,16 @@ class TestCli:
         code = main(["conserve", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 3
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_conserve_rerun_above_the_bound_exits_before_a_step(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        calls = []
+        monkeypatch.setattr(studies, "evolve", lambda *a, **kw: calls.append(a))
+        text = CONSERVE_TEXT.replace("dt = 0.01\nt_final = 0.2", "dt = 1e-8\nt_final = 0.6")
+        config = write_config(tmp_path / "a.ini", text)
+        code = main(["conserve", "--config", config, "--out", str(tmp_path / "out")])
+        assert code == 3 and calls == []
+        assert capsys.readouterr().err.startswith("error: [evolution]: the rerun at dt/2: ")
 
     @pytest.mark.parametrize("out", ["afile/sub", "afile"])
     def test_out_that_cannot_be_a_directory_exit_code(self, tmp_path, capsys, monkeypatch, out):
