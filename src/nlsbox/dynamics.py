@@ -14,6 +14,7 @@ import configparser
 import dataclasses
 import math
 import os
+import typing
 import warnings as _warnings
 from contextlib import contextmanager
 from functools import lru_cache, partial
@@ -354,18 +355,30 @@ def energy(f: Field, k: int) -> float:
     return 0.5 * kinetic * f.grid.freq_cell_volume + potential * f.grid.cell_volume / (2 * k + 2)
 
 
+def _boolean(text: str) -> bool:
+    """``text`` as a boolean, by configparser's words (``true``, ``no``, ``1``, ...)."""
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if text.strip().lower() not in states:
+        raise ValueError(f"expected one of {sorted(states)}")
+    return states[text.strip().lower()]
+
+
+def _field_rules(cls, *skip: str) -> dict:
+    """``{name: (cast, default)}`` of the dataclass ``cls``'s fields but ``skip``: the
+    INI keys of configs and manifests, read by type hint; a required default is MISSING."""
+    casts = {int: int, float: float, str: str.strip, bool: _boolean}
+    hints = typing.get_type_hints(cls)
+    return {f.name: (casts[hints[f.name]], f.default)
+            for f in dataclasses.fields(cls) if f.name not in skip}
+
+
 def write_checkpoint(traj: Trajectory, directory: str) -> None:
     """Write every sample plus a manifest so a run can be reloaded."""
     os.makedirs(directory, exist_ok=True)
-    p = traj.params
     manifest = configparser.ConfigParser(interpolation=None)
-    manifest["evolution"] = {
-        "dim": str(p.dim),
-        "k": str(p.k),
-        "dt": repr(p.dt),
-        "t_final": repr(p.t_final),
-        "sample_every": str(p.sample_every),
-        "dealias": "true" if p.dealias else "false",
+    manifest["evolution"] = {  # true/false for a boolean, else the repr
+        name: str(v).lower() if type(v) is bool else repr(v)
+        for name, v in dataclasses.asdict(traj.params).items()
     }
     manifest["run"] = {
         "provenance": traj.provenance,
@@ -396,14 +409,8 @@ def read_checkpoint(directory: str) -> Trajectory:
         raise DomainError(f"no checkpoint manifest at {path}")
     try:
         evo = manifest["evolution"]
-        params = EvolutionParams(
-            dim=evo.getint("dim"),
-            k=evo.getint("k"),
-            dt=float(evo["dt"]),
-            t_final=float(evo["t_final"]),
-            sample_every=evo.getint("sample_every"),
-            dealias=evo.getboolean("dealias"),
-        )
+        rules = _field_rules(EvolutionParams).items()
+        params = EvolutionParams(**{name: cast(evo[name]) for name, (cast, _) in rules})
         run = manifest["run"]
         count, n_warn = int(run["count"]), int(run["warning_count"])
         provenance = run.get("provenance", "")

@@ -12,14 +12,16 @@ import configparser
 import dataclasses
 from dataclasses import dataclass
 
-from ..dynamics import EvolutionParams
-from ..errors import ConfigError, DomainError, _require_increasing, _require_integer
+from ..dynamics import EvolutionParams, _field_rules
+from ..errors import (ConfigError, DomainError, ResolutionError, _require_increasing,
+                      _require_integer)
+from ..multipliers import _require_resolved, i_operator_symbol
 from ..spectral import Grid, RadialProfile
 from .corpus import _SEED_STRIDE, member_seed
 
 __all__ = ["STUDY_NAMES", "StudyConfig", "load_config"]
 
-REQUIRED = object()  # the default of a key every config must give
+REQUIRED = dataclasses.MISSING  # the default of a key every config must give
 
 
 def _at_least(low: int, name: str = "value"):
@@ -44,13 +46,6 @@ def _mode_counts(text: str) -> tuple[int, ...]:
     return values
 
 
-def _boolean(text: str) -> bool:
-    states = configparser.ConfigParser.BOOLEAN_STATES
-    if text.strip().lower() not in states:
-        raise ValueError(f"expected one of {sorted(states)}")
-    return states[text.strip().lower()]
-
-
 def _defocusing(text: str) -> str:
     if text.strip().lower() != "defocusing":
         raise ValueError("only the defocusing sign is implemented")
@@ -61,21 +56,17 @@ def _defocusing(text: str) -> str:
 # study reads; any other section or key is rejected.  The cast turns the
 # text into a value and raises ValueError when it is out of range.  A key
 # whose default is REQUIRED must be given, so a section may be left out
-# only if it has none ([corpus]).
+# only if it has none ([corpus]).  [grid], [evolution] and [datum] are the
+# fields of Grid, EvolutionParams (its dim is the grid's) and RadialProfile
+# (its seed is the study's), with their types and defaults.
 _COMMON = {
     "study": {"name": (str.strip, REQUIRED), "seed": (_at_least(0), 0)},
-    "grid": {"dim": (int, REQUIRED), "extent": (float, REQUIRED), "points": (int, REQUIRED)},
+    "grid": _field_rules(Grid),
 }
-_EVOLUTION = {
-    "k": (int, REQUIRED),
-    "dt": (float, REQUIRED),
-    "t_final": (float, REQUIRED),
-    "sample_every": (int, 1),
-    "dealias": (_boolean, True),
-    "nonlinearity": (_defocusing, "defocusing"),
-}
+_EVOLUTION = {**_field_rules(EvolutionParams, "dim"),
+              "nonlinearity": (_defocusing, "defocusing")}
 _S = {"s": (_fraction, REQUIRED)}
-_DATUM = {"kind": (str.strip, REQUIRED), "amplitude": (float, 1.0), "width": (float, 1.0)}
+_DATUM = _field_rules(RadialProfile, "seed")
 _LAYOUT = {
     "sweep-n": {
         **_COMMON,
@@ -145,6 +136,15 @@ def _halved(params: EvolutionParams) -> EvolutionParams:
         raise DomainError(f"the rerun at dt/2: {exc}") from None
 
 
+def _resolved(grid: Grid, s: float, count: int) -> None:
+    """Refuse a mode count whose smoothing symbol the grid cannot resolve: the
+    check a study's first ``apply_symbol`` would make, before any run."""
+    try:
+        _require_resolved(grid, i_operator_symbol(grid.freq_step * count, s))
+    except ResolutionError as exc:
+        raise DomainError(f"mode count {count}: {exc}") from None
+
+
 def load_config(path) -> StudyConfig:
     """Read and validate a study description from an INI file."""
     parser = configparser.ConfigParser(interpolation=None)
@@ -184,7 +184,10 @@ def load_config(path) -> StudyConfig:
                                      dim=grid.dim)
         if name == "conserve":  # its rerun at dt/2 is refused here, not after the first run
             _build("evolution", _halved, params=fields["evolution"])
-    fields.update(values.get("imethod", {}))
+    imethod = values.get("imethod", {})
+    for count in imethod.get("n_list", [imethod["n"]] if "n" in imethod else []):
+        _build("imethod", _resolved, grid=grid, s=imethod["s"], count=count)
+    fields.update(imethod)
     if "datum" in values:
         fields["datum"] = _build("datum", RadialProfile, **values["datum"], seed=seed)
     if "corpus" in values:

@@ -104,13 +104,17 @@ def smooth_cutoff(r: np.ndarray) -> np.ndarray:
 
 def apply_symbol(f: Field, symbol: RadialSymbol) -> Field:
     """Multiply ``f`` by ``symbol(|xi|)`` in frequency, preserving the rep."""
-    grid = f.grid
+    _require_resolved(f.grid, symbol)
+    return _map_spectrum(f, lambda spec, v: v * spec, partial(_symbol_values, f.grid, symbol))
+
+
+def _require_resolved(grid: Grid, symbol: RadialSymbol) -> None:
+    """Refuse ``symbol`` on ``grid`` if its cutoff is not below the grid's Nyquist."""
     if symbol.cutoff is not None and symbol.cutoff >= grid.nyquist:
         raise ResolutionError(
             f"symbol {symbol.label!r} needs frequencies up to {symbol.cutoff:.4g}, "
             f"grid Nyquist is {grid.nyquist:.4g}"
         )
-    return _map_spectrum(f, lambda spec, v: v * spec, partial(_symbol_values, grid, symbol))
 
 
 # Symbol values per grid and block flag, tested when filled; the symbols of

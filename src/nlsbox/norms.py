@@ -185,7 +185,13 @@ class DiagnosticSeries:
             header = fh.readline().strip().split(",")
             if len(header) != 2 or header[0] != "t":
                 raise DomainError(f"malformed series header in {path}")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        if data.size == 0:
-            data = data.reshape(0, 2)
+            body = fh.read()
+        if not body.strip():  # an empty series writes no rows
+            return cls(header[1], (), ())
+        try:
+            data = np.loadtxt(body.splitlines(), delimiter=",", ndmin=2)
+            if data.shape[1] != 2:
+                raise ValueError(f"{data.shape[1]} columns, not 2")
+        except ValueError as exc:  # a bad number, or rows of other than two columns
+            raise DomainError(f"malformed series rows in {path}: {exc}") from None
         return cls(header[1], data[:, 0], data[:, 1])

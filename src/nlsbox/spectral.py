@@ -56,6 +56,7 @@ leg one ``dct`` per axis on only the lines that carry data
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -798,6 +799,11 @@ def _read(path, binary: bool) -> Field | None:
                 raise ValueError("a carriage return in the header")
             dim, points, extent, rep = (header.decode("ascii") if binary else header).split()
             grid, body = Grid(int(dim), float(extent), int(points)), fh.tell()
+            # A row is two tokens, a separator and a line end (but the last): the
+            # file's size, not its header, bounds what the read allocates.
+            size, rows = os.fstat(fh.fileno()).st_size - body, math.prod(grid.shape)
+            if size < 4 * rows - 1:
+                raise ValueError(f"a body of {size} bytes cannot hold {rows} rows")
             block = _block_rows(fh, grid.points, grid.dim)
             shape = grid.shape if block is None else (grid.points // 2 + 1,) * grid.dim
             fh.seek(body)  # for a whole-body parse; a block read is done with fh

@@ -559,6 +559,12 @@ class TestGuards:
         with pytest.raises(InstabilityError, match=text):
             evolve(f, EvolutionParams(dim, k, 0.01, 0.1, sample_every=5, dealias=dealias))
 
+    @pytest.mark.parametrize("initial", [np.ones((16, 16)), None], ids=["array", "None"])
+    def test_initial_data_must_be_a_field(self, initial):
+        text = f"^initial data must be a Field, got {type(initial).__name__}$"
+        with pytest.raises(DomainError, match=text):
+            evolve(initial, EvolutionParams(2, 1, 0.01, 0.02))
+
     def test_marginally_resolved_data_warns_once(self):
         grid = Grid(2, 16.0, 32)
         f = single_mode(grid, 1.0, (11, 0))
@@ -607,6 +613,12 @@ class TestTrajectory:
             Trajectory(EvolutionParams(2, 1, 0.01, 0.1), samples)
         with pytest.raises(DomainError, match="strictly increasing"):
             mixed_norm(samples, MixedNormSpec(4.0, 4.0, 0.0, 1.0))
+
+    def test_samples_on_two_grids(self):
+        f = gaussian(Grid(2, 16.0, 16), 0.5, 4.0)
+        g = gaussian(Grid(2, 16.0, 32), 0.5, 4.0)
+        with pytest.raises(DomainError, match="^all samples must be fields on a single grid$"):
+            Trajectory(EvolutionParams(2, 1, 0.01, 0.1), ((0.0, f), (0.05, g)))
 
     def test_non_field_first_sample(self):
         params = EvolutionParams(2, 1, 0.01, 0.1)
@@ -658,6 +670,22 @@ class TestCheckpoint:
                 increment_ledger(run, cfg)
         assert len(calls) == len(back) and {id(f) for f in calls} == {id(f) for f in back.fields}
         assert all(f.as_frequency() is f.as_frequency() for f in back.fields)
+
+    def test_manifest_evolution_text(self, tmp_path):
+        # Every EvolutionParams field by name, in declaration order: repr
+        # values and true/false, as the readers of existing checkpoints expect.
+        params = EvolutionParams(2, 1, 0.01, 0.04, sample_every=2, dealias=False)
+        traj = evolve(gaussian(Grid(2, 16.0, 32), 0.5, 2.0), params)
+        write_checkpoint(traj, str(tmp_path))
+        text = (tmp_path / "manifest.ini").read_text(encoding="utf-8")
+        assert text.startswith(
+            "[evolution]\ndim = 2\nk = 1\ndt = 0.01\nt_final = 0.04\n"
+            "sample_every = 2\ndealias = false\n\n[run]\n"
+        )
+        back = read_checkpoint(str(tmp_path))
+        assert back.params == params and back.params.dealias is False
+        write_checkpoint(back, str(tmp_path / "again"))
+        assert (tmp_path / "again" / "manifest.ini").read_text(encoding="utf-8") == text
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DomainError):

@@ -37,6 +37,7 @@ from nlsbox import (
 from nlsbox.errors import ConfigError, UndersamplingWarning
 from nlsbox.experiments import (
     STUDY_NAMES,
+    StudyConfig,
     StudyReport,
     load_config,
     morawetz_families,
@@ -425,6 +426,38 @@ class TestLoadConfig:
         assert f"[{section}]" in str(info.value)
         assert repr(key) in str(info.value)
 
+    @pytest.mark.parametrize("text,value,dealias", [
+        (SWEEP_TEXT, "false", False), (MORAWETZ_TEXT, "No", False), (CONSERVE_TEXT, "on", True),
+    ], ids=["false", "No", "on"])
+    def test_dealias_key_reads_a_boolean(self, tmp_path, text, value, dealias):
+        text = text.replace("t_final", f"dealias = {value}\nt_final")
+        assert load_config(write_config(tmp_path / "a.ini", text)).evolution.dealias is dealias
+
+    def test_dealias_key_refuses_other_words(self, tmp_path):
+        text = SWEEP_TEXT.replace("t_final", "dealias = maybe\nt_final")
+        with pytest.raises(ConfigError, match=r"^\[evolution\] dealias = 'maybe': expected one of"):
+            load_config(write_config(tmp_path / "a.ini", text))
+
+    @pytest.mark.parametrize("s", ["1.5", "0.0", "1"])
+    def test_s_outside_the_open_unit_interval(self, tmp_path, s):
+        text = SWEEP_TEXT.replace("s = 0.85", f"s = {s}")
+        with pytest.raises(ConfigError, match=rf"^\[imethod\] s = '{s}': .* is outside \(0, 1\)$"):
+            load_config(write_config(tmp_path / "a.ini", text))
+
+    @pytest.mark.parametrize("text,old,refused,count,accepted", [
+        (SWEEP_TEXT, "n_list = 2 3 5", "n_list = 2 4 8", 8, "n_list = 2 4 7"),
+        (SWEEP_TEXT, "n_list = 2 3 5", "n_list = 9 10", 9, "n_list = 6 7"),
+        (INEQ_2D_TEXT, "n = 4", "n = 8", 8, "n = 7"),
+        (INEQ_3D_TEXT, "n = 3", "n = 4", 4, "n = 3"),
+    ], ids=["sweep_at_nyquist", "sweep_past_nyquist", "inequalities_2d", "inequalities_3d"])
+    def test_cutoff_the_grid_cannot_resolve(self, tmp_path, text, old, refused, count, accepted):
+        # I_N decays from 2N = 2 count freq_step, which must lie below Nyquist
+        # = points freq_step / 2: a mode count below points / 4.
+        with pytest.raises(ConfigError, match=rf"^\[imethod\]: mode count {count}: symbol "
+                                              r"'smoothing_N.*' needs frequencies up to"):
+            load_config(write_config(tmp_path / "a.ini", text.replace(old, refused)))
+        assert load_config(write_config(tmp_path / "b.ini", text.replace(old, accepted)))
+
     def test_optional_keys_take_documented_defaults(self, tmp_path):
         text = without_keys(SWEEP_TEXT, "seed", "sample_every", "amplitude", "width")
         cfg = load_config(write_config(tmp_path / "a.ini", text))
@@ -665,6 +698,12 @@ class TestStudies:
             run_study(load_config(str(path)), tmp_path / source)
         assert calls == []
 
+    def test_config_that_names_no_study(self, tmp_path):
+        config = StudyConfig("sweep", 0, Grid(2, 16.0, 32))
+        with pytest.raises(ConfigError, match="^unknown study 'sweep'$"):
+            run_study(config, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
 
 class TestCli:
     def test_pass_exit_code(self, tmp_path, capsys):
@@ -712,6 +751,17 @@ class TestCli:
         code = main(["conserve", "--config", config, "--out", str(tmp_path / "out")])
         assert code == 3 and calls == []
         assert capsys.readouterr().err.startswith("error: [evolution]: the rerun at dt/2: ")
+
+    def test_unresolvable_cutoff_exits_before_a_step(self, tmp_path, capsys, monkeypatch):
+        # 2N at n = 8 is the Nyquist frequency of a 32^2 box of side 16: the
+        # run at n = 2 and 4 would be wasted, and their ledgers left behind.
+        calls, real = [], studies.evolve
+        monkeypatch.setattr(studies, "evolve", lambda *a: calls.append(a) or real(*a))
+        config = write_config(tmp_path / "a.ini", SWEEP_TEXT.replace("2 3 5", "2 4 8"))
+        out = tmp_path / "out"
+        code = main(["sweep-n", "--config", config, "--out", str(out)])
+        assert code == 3 and calls == [] and not out.exists()
+        assert capsys.readouterr().err.startswith("error: [imethod]: mode count 8: ")
 
     @pytest.mark.parametrize("out", ["afile/sub", "afile"])
     def test_out_that_cannot_be_a_directory_exit_code(self, tmp_path, capsys, monkeypatch, out):

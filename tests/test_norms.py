@@ -3,6 +3,7 @@ interpolation consistency, mixed space-time norms on synthetic
 trajectories, admissibility table."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -318,6 +319,26 @@ class TestDiagnosticSeries:
         assert back.name == "mass"
         assert np.array_equal(back.times, s.times)
         assert np.array_equal(back.values, s.values)
+
+    @pytest.mark.parametrize("body", [
+        "0.0,1.0,2.0\n",  # three columns
+        "0.0\n1.0\n",  # one column
+        "0.0,1.0\n1.0\n",  # a one-column row after a two-column one
+    ], ids=["three_columns", "one_column", "short_row"])
+    def test_rows_of_other_than_two_columns_name_the_file(self, tmp_path, body):
+        path = tmp_path / "series.csv"
+        path.write_text("t,E\n" + body)
+        with pytest.raises(DomainError, match=f"malformed series rows in {re.escape(str(path))}"):
+            DiagnosticSeries.from_csv(path)
+
+    def test_empty_series_reads_back_without_a_warning(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        DiagnosticSeries("E", np.array([]), np.array([])).to_csv(path)
+        assert path.read_text() == "t,E\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = DiagnosticSeries.from_csv(path)
+        assert back.name == "E" and back.times.shape == back.values.shape == (0,)
 
     def test_times_must_increase(self):
         with pytest.raises(DomainError):

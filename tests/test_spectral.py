@@ -8,6 +8,7 @@ import pickle
 import struct
 import subprocess
 import sys
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -259,6 +260,13 @@ class TestField:
             forward_transform(b)
         with pytest.raises(RepresentationError):
             inverse_transform(a)
+
+    def test_grid_mismatch(self, grid2d_small):
+        a = Field.physical(grid2d_small, np.ones(grid2d_small.shape))
+        b = Field.physical(Grid(2, 2 * grid2d_small.extent, grid2d_small.points), a.samples)
+        for combine in (lambda x, y: x + y, lambda x, y: x - y):
+            with pytest.raises(DomainError, match="^fields live on different grids$"):
+                combine(a, b)
 
 
 # A power-of-two side and sides that are not, whose FFTs take other radix kernels.
@@ -1459,4 +1467,29 @@ print("orjson" in sys.modules)
         path = tmp_path / "bad.field"
         path.write_text("2 4 16.0 physical\n" + "0.0 0.0\n" * 15)
         with pytest.raises(DomainError):
+            read_field(path)
+
+    @pytest.mark.parametrize("header", ["3 4096 1.0 physical", "3 2048 1.0 frequency"])
+    def test_header_beyond_the_body_raises_before_allocating(self, tmp_path, header):
+        # Every row takes at least four bytes, so a short body is refused on
+        # its size, before the header's row count is allocated.
+        path = tmp_path / "bad.field"
+        path.write_text(header + "\n0.0 0.0\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=r"malformed field file .* cannot hold"):
+                read_field(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_smallest_body_the_size_rule_accepts(self, tmp_path):
+        # Sixteen rows of three characters, the last without its line end:
+        # 4 * 16 - 1 bytes read; a byte fewer is refused by the size rule.
+        path = tmp_path / "tight.field"
+        path.write_text("2 4 16.0 physical\n" + "\n".join(["1 0"] * 16))
+        assert np.array_equal(read_field(path).samples, np.ones((4, 4)))
+        path.write_text("2 4 16.0 physical\n" + "\n".join(["1 0"] * 15) + "\n1 ")
+        with pytest.raises(DomainError, match="a body of 62 bytes cannot hold 16 rows"):
             read_field(path)
