@@ -36,15 +36,13 @@ from .spectral import (
     FREQUENCY,
     Field,
     Grid,
-    _forward,
-    _inverse,
     _lattice_max,
+    _legs,
     _map_physical,
     _map_spectrum,
     _mass_fraction,
     _modulus_power,
     _operands,
-    _padded,
     _power_sum,
     _radial,
     _readonly,
@@ -217,10 +215,10 @@ def nonlinear_phase(f: Field, dt: float, k: int, dealias: bool = True) -> Field:
 
 @contextmanager
 def _stepping():
-    """The context of one step: a non-finite sample's DomainError is raised
-    as InstabilityError.  Overflow here means the run is blowing up; the
-    resulting non-finite samples are caught where the step checks them, so
-    numpy is kept quiet."""
+    """The context of a run of steps: a non-finite sample's DomainError is
+    raised as InstabilityError.  Overflow here means the run is blowing up;
+    the resulting non-finite samples are caught where each step checks them,
+    so numpy is kept quiet."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             yield
@@ -238,24 +236,25 @@ def strang_step(f: Field, params: EvolutionParams) -> Field:
         return linear_flow(u, half)
 
 
-def _strang_arrays(grid: Grid, spec: np.ndarray, params: EvolutionParams) -> np.ndarray:
+def _strang_arrays(spec: np.ndarray, phase: np.ndarray, legs: tuple, dt: float,
+                   power: int) -> np.ndarray:
     """:func:`strang_step` of the spectrum ``spec``, its samples or the
-    ``[0, n/2]^d`` block of an even one, as arrays: the same operations in
-    the same order, so the same bits, with no :class:`Field` made and
-    finiteness checked once, on the result."""
-    dt, power = params.dt, 2 * params.k
-    phase = _quadratic_phase(grid, 0.5 * dt, spec.shape[0] != grid.points)
+    ``[0, n/2]^d`` block of an even one, as arrays, with the half-step
+    ``phase``, the ``legs`` (:func:`_legs`, then the padded product's or two
+    ``None``) and ``power`` 2k its caller set up for that shape, inside its
+    :func:`_stepping`: the same operations in the same order, so the same
+    bits, with no :class:`Field` made and finiteness checked on the result."""
+    forward, inverse, into, out = legs
     # Each array is let go once used: holding them all to the end cost a
     # 64^3 step a quarter more page faults and made it slower than a Field step.
-    with _stepping():
-        u = spec * phase
-        w = _padded(grid, u, power, lambda x: _modulus_power(x, power)) if params.dealias else None
-        u = _inverse(grid, u)
-        u = _rotate(u, dt, _modulus_power(u, power) if w is None else w)
-        w = None
-        u = _forward(grid, u)
-        u *= phase
-        _require_finite(u)
+    u = spec * phase
+    w = out(_modulus_power(into(u), power)) if into else None
+    u = inverse(u)
+    u = _rotate(u, dt, _modulus_power(u, power) if w is None else w)
+    w = None
+    u = forward(u)
+    u *= phase
+    _require_finite(u)
     return u
 
 
@@ -297,38 +296,43 @@ def evolve(initial: Field, params: EvolutionParams) -> Trajectory:
     ever carries more than a 1e-4 share of the spectral mass.  Steps run
     in the frequency representation; recorded samples are physical.
 
-    The steps strictly between samples run on plain arrays, the spectrum's
-    samples or the block of an even one (:func:`_strang_arrays`), and the
-    step that lands on each sample instant goes through :func:`strang_step`
-    on a field holding the array, so every run calls ``strang_step``,
-    ``linear_flow``, ``nonlinear_phase`` and, with ``dealias``,
-    ``dealiased_modulus_power``, which the benchmark's traced expected
-    calls rely on.  Both give the same bits, and a step that makes a
-    non-finite sample raises InstabilityError naming its time.
+    Each sample interval sets up once what its steps share (the half-step
+    phase for the held array's shape, each transform leg's engine, ``dt``
+    and ``2k``) and takes the steps strictly inside it on plain arrays, the
+    spectrum's samples or the block of an even one, in one error context
+    (:func:`_strang_arrays`).  The step that lands on the sample instant goes
+    through :func:`strang_step` on a field holding the array, so every run
+    calls ``strang_step``, ``linear_flow``, ``nonlinear_phase`` and, with
+    ``dealias``, ``dealiased_modulus_power``, which the benchmark's traced
+    expected calls rely on.  Both give the same bits, and a step that makes
+    a non-finite sample raises InstabilityError naming its time.
     """
     if not isinstance(initial, Field):
         raise DomainError(f"initial data must be a Field, got {type(initial).__name__}")
     _require_same_dim("initial data", initial.grid.dim, params.dim)
     grid, u, spec = initial.grid, initial.as_physical(), initial.as_frequency()
     even, (held,) = _operands(spec)
-    steps = params.step_count()
+    steps, dt, power = params.step_count(), params.dt, 2 * params.k
     notes: list = []
     # Growth from a zero datum is measured from 1.
     peak0 = _check_health(u, 0.0, math.inf, notes) or 1.0
     samples = [(0.0, u)]
-    for i in range(1, steps + 1):
-        t = i * params.dt
+    for start in range(0, steps, params.sample_every):
+        end = min(start + params.sample_every, steps)
+        phase = _quadratic_phase(grid, 0.5 * dt, even)
+        legs = _legs(grid, even) + (_legs(grid, even, power) if params.dealias else (None, None))
         try:
-            if i % params.sample_every and i != steps:
-                held = _strang_arrays(grid, held, params)
-                continue
+            with _stepping():
+                for i in range(start + 1, end):
+                    held = _strang_arrays(held, phase, legs, dt, power)
+            i = end
             spec = strang_step(Field._adopt(grid, held, FREQUENCY, even), params)
         except InstabilityError as exc:
-            raise InstabilityError(f"{exc} near t={t!r}") from exc
+            raise InstabilityError(f"{exc} near t={i * dt!r}") from exc
         even, (held,) = _operands(spec)
         u = spec.as_physical()
-        _check_health(u, t, peak0, notes)
-        samples.append((t, u))
+        _check_health(u, end * dt, peak0, notes)
+        samples.append((end * dt, u))
     provenance = (
         f"strang dim={params.dim} k={params.k} dt={params.dt!r} "
         f"steps={steps} dealias={params.dealias}"

@@ -46,11 +46,11 @@ Up to a measured block side per dimension (``_DENSE_SIDE``: 50 in 2d, 57
 in 3d, where the slice products of :func:`_apply` stay on one OpenBLAS
 thread and beat scipy), each leg of the block path is one cached real
 matrix per axis, flips, scales, zero padding and band truncation folded
-in (:func:`_even_ops`, which alone picks the engine), applied in one layout
-to every block, 2d and 3d (:func:`_apply`); beyond, ``scipy.fft``, loaded
-like the full-grid FFTs on first use: a transform is one ``dctn``, a padded
-leg one ``dct`` per axis on only the lines that carry data
-(:func:`_dct1_lines`; Bowman & Roberts, SIAM J. Sci. Comput. 2011).
+in (:func:`_even_ops`; :func:`_legs` alone picks the engine), applied in
+one layout to every block, 2d and 3d (:func:`_apply`); beyond,
+``scipy.fft``, loaded like the full-grid FFTs on first use: a transform is
+one ``dctn``, a padded leg one ``dct`` per axis on only the lines that
+carry data (:func:`_dct1_lines`; Bowman & Roberts, SIAM J. Sci. Comput. 2011).
 """
 
 from __future__ import annotations
@@ -349,7 +349,7 @@ def _apply(op: tuple, x: np.ndarray) -> np.ndarray:
 def _even_ops(g: Grid, factors: int = 0) -> tuple | None:
     """The block path's legs as read-only :func:`_apply` operators, scales in:
     :func:`_forward` and :func:`_inverse`, scipy's DCT-I with columns or rows
-    reversed; with ``factors``, a :func:`_padded` product's way in, the band
+    reversed; with ``factors``, a :func:`_padded_product`'s way in, the band
     of a spectrum's block to the padded inverse ``Af[:, :n/2]``, and its way
     out, band truncation, inverse and flip as one ``(n/2+1) x (nf/2+1)`` matrix.
 
@@ -459,24 +459,57 @@ def _lattice_max(fn, *operands) -> float:
     return float(np.max(fn(*_operands(*operands)[1])))
 
 
+def _legs(g: Grid, block: bool, factors: int = 0) -> tuple:
+    """The two legs of a transform on ``g``, functions of its samples or, with
+    ``block``, of the ``[0, n/2]^d`` block of an even field: :func:`_forward`'s
+    and :func:`_inverse`'s, or with ``factors`` a :func:`_padded_product`'s way
+    in, spectrum to padded samples, and way out, to coarse samples.  A padded
+    block stays on the blocks of both grids, and on scipy its way out may write
+    over its input; padded samples keep a real product's real part.  The one
+    place a leg's engine is picked: the dense operators of :func:`_even_ops`
+    where it has them, else scipy, so a loop on one shape resolves them once."""
+    if block and (ops := _even_ops(g, factors)):
+        return partial(_apply, ops[0]), partial(_apply, ops[1])
+    if not factors and block:
+        return (lambda a: scipy.fft.dctn(np.flip(a), type=1) * _forward_scale(g),
+                lambda a: np.flip(scipy.fft.dctn(a, type=1) * (_inverse_scale(g) / g.size)))
+    if not factors:
+        return (lambda a: _forward_scale(g) * scipy.fft.fftn(np.fft.ifftshift(a)),
+                lambda a: _inverse_scale(g) * np.fft.fftshift(scipy.fft.ifftn(a)))
+    fine, band, padded = _padding(g, factors)
+    if block:
+        side, half = fine.points // 2 + 1, g.points // 2
+        scale_in = _inverse_scale(fine) / fine.size
+        scale_out = _forward_scale(fine) * _inverse_scale(g) / g.size
+        # The way in takes the band, [0, n/2) per axis of the block.
+        return (lambda spec: _dct1_lines(spec[(slice(half),) * g.dim] * scale_in, side),
+                lambda w: np.flip(_dct1_lines(scale_out * _dct1_lines(w, side, half), half + 1)))
+    (forward, inverse), coarse = _legs(fine, False), _legs(g, False)[1]
+
+    def into(spec):
+        u = np.zeros(fine.shape, dtype=np.complex128)
+        u[padded] = spec[band]
+        return inverse(u)
+
+    def out(w):
+        prod = np.zeros(g.shape, dtype=np.complex128)
+        prod[band] = forward(w)[padded]
+        u = coarse(prod)
+        return u.real if np.isrealobj(w) else u
+
+    return into, out
+
+
 def _forward(g: Grid, a: np.ndarray) -> np.ndarray:
     """The spectrum of samples ``a`` on ``g``, shifted so x = 0 leads, or of the
     ``[0, n/2]^d`` block ``a`` of an even field as its block: reversed, the block
     runs over x = 0..L/2 from the box centre, so its DCT-I is the box-phase spectrum."""
-    if a.shape[0] == g.points:
-        return _forward_scale(g) * scipy.fft.fftn(np.fft.ifftshift(a))
-    if ops := _even_ops(g):
-        return _apply(ops[0], a)
-    return scipy.fft.dctn(np.flip(a), type=1) * _forward_scale(g)
+    return _legs(g, a.shape[0] != g.points)[0](a)
 
 
 def _inverse(g: Grid, a: np.ndarray) -> np.ndarray:
     """The inverse of :func:`_forward`, on samples or on a block alike."""
-    if a.shape[0] == g.points:
-        return _inverse_scale(g) * np.fft.fftshift(scipy.fft.ifftn(a))
-    if ops := _even_ops(g):
-        return _apply(ops[1], a)
-    return np.flip(scipy.fft.dctn(a, type=1) * (_inverse_scale(g) / g.size))
+    return _legs(g, a.shape[0] != g.points)[1](a)
 
 
 def forward_transform(f: Field) -> Field:
@@ -518,38 +551,12 @@ def _padding(grid: Grid, factors: int) -> tuple:
 
 
 def _padded_product(f: Field, factors: int, pointwise) -> Field:
-    """The physical field :func:`_padded` makes from the spectrum of ``f``."""
+    """The physical field ``pointwise(u)``, a ``factors``-fold product, formed
+    on the padded grid from the band ``[-n/2+1, n/2-1]`` of the spectrum of
+    ``f`` and truncated back to that band (:func:`_legs`)."""
     even, (spec,) = _operands(f.as_frequency())
-    return Field._adopt(f.grid, _padded(f.grid, spec, factors, pointwise), PHYSICAL, even)
-
-
-def _padded(g: Grid, spec: np.ndarray, factors: int, pointwise) -> np.ndarray:
-    """The physical samples of ``pointwise(u)``, a ``factors``-fold product,
-    formed on the padded grid from the band ``[-n/2+1, n/2-1]`` of the
-    spectrum ``spec`` and truncated back to that band.
-
-    The ``[0, n/2]^d`` block of an even spectrum runs on the blocks of both
-    grids (:func:`_even_ops`), both grid scales applied on the band, and
-    gives the block of the product; the samples of any other take
-    :func:`_forward` and :func:`_inverse` on both grids, and a real product
-    keeps the real part, so its samples are real.
-    """
-    fine, band, padded = _padding(g, factors)
-    if spec.shape[0] == g.points:
-        into = np.zeros(fine.shape, dtype=np.complex128)
-        into[padded] = spec[band]
-        w = pointwise(_inverse(fine, into))
-        prod = np.zeros(g.shape, dtype=np.complex128)
-        prod[band] = _forward(fine, w)[padded]
-        out = _inverse(g, prod)
-        return out.real if np.isrealobj(w) else out
-    if ops := _even_ops(g, factors):
-        return _apply(ops[1], pointwise(_apply(ops[0], spec)))
-    side, half = fine.points // 2 + 1, g.points // 2
-    kept = spec[(slice(half),) * g.dim]  # the band, [0, n/2) per axis of the block
-    w = pointwise(_dct1_lines(kept * (_inverse_scale(fine) / fine.size), side))
-    scale_out = _forward_scale(fine) * _inverse_scale(g) / g.size
-    return np.flip(_dct1_lines(scale_out * _dct1_lines(w, side, half), half + 1))
+    into, out = _legs(f.grid, even, factors)
+    return Field._adopt(f.grid, out(pointwise(into(spec))), PHYSICAL, even)
 
 
 def _dct1_lines(x: np.ndarray, side: int, keep: int | None = None) -> np.ndarray:

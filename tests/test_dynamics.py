@@ -275,12 +275,14 @@ class TestRepresentation:
             assert all(u.rep == "physical" for _, u in traj)
 
 
-# Frequency inputs on the three transform paths: an even field on dense DCT-I
+# Frequency inputs on the transform paths: an even field on dense DCT-I
 # matrices (32^2, padded 48^2), an even field on scipy's DCT (128^2, padded
-# 192^2) and a non-even field on the full-grid FFTs.
+# 192^2), an even field whose coarse legs are dense and whose padded legs run
+# on scipy (72^2, blocks 37 and 55) and a non-even field on the full-grid FFTs.
 STEP_PATHS = pytest.mark.parametrize("grid,even", [
-    (Grid(2, 16.0, 32), True), (Grid(2, 16.0, 128), True), (Grid(2, 16.0, 32), False),
-], ids=["even_dense_32^2", "even_over_cap_128^2", "non_even_32^2"])
+    (Grid(2, 16.0, 32), True), (Grid(2, 16.0, 128), True), (Grid(2, 16.0, 72), True),
+    (Grid(2, 16.0, 32), False),
+], ids=["even_dense_32^2", "even_over_cap_128^2", "even_mixed_72^2", "non_even_32^2"])
 
 
 def _step_input(grid, even):
@@ -558,6 +560,40 @@ class TestGuards:
         text = r"^step produced a non-finite field \(field samples must be finite\) near t=0\.01$"
         with pytest.raises(InstabilityError, match=text):
             evolve(f, EvolutionParams(dim, k, 0.01, 0.1, sample_every=5, dealias=dealias))
+
+    # Ten steps sampled every fifth: the array steps 1-4 and 6-9 each check
+    # their result, and step 5 goes through strang_step, so the seventh
+    # check is step 8's.
+    @pytest.mark.parametrize("call,step", [(3, 3), (7, 8)],
+                             ids=["first_interval", "second_interval"])
+    def test_later_failing_step_reports_its_own_time(self, monkeypatch, call, step):
+        checks = []
+
+        def failing(a, _fn=dynamics._require_finite):
+            checks.append(None)
+            if len(checks) == call:
+                raise DomainError("field samples must be finite")
+            _fn(a)
+
+        monkeypatch.setattr(dynamics, "_require_finite", failing)
+        text = (r"^step produced a non-finite field \(field samples must be finite\) "
+                rf"near t={re.escape(repr(step * 0.01))}$")
+        with pytest.raises(InstabilityError, match=text):
+            evolve(gaussian(Grid(2, 16.0, 32), 1.2, 2.0),
+                   EvolutionParams(2, 1, 0.01, 0.1, sample_every=5))
+        assert len(checks) == call
+
+    def test_numpy_error_state_is_restored(self):
+        # Numpy is kept quiet for a whole sample interval of steps, and only there.
+        params = EvolutionParams(2, 1, 0.01, 0.1, sample_every=5)
+        blowing = Field.physical(Grid(2, 16.0, 16), np.full((16, 16), 1e200 + 0j))
+        with np.errstate(over="warn", invalid="warn"):
+            before = np.geterr()
+            evolve(gaussian(Grid(2, 16.0, 32), 1.2, 2.0), params)
+            assert np.geterr() == before
+            with pytest.raises(InstabilityError):
+                evolve(blowing, params)
+            assert np.geterr() == before
 
     @pytest.mark.parametrize("initial", [np.ones((16, 16)), None], ids=["array", "None"])
     def test_initial_data_must_be_a_field(self, initial):
